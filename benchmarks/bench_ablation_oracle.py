@@ -7,7 +7,7 @@ substitution's effect on every reported running time is explicit.
 
 import pytest
 
-from repro.analysis import verify_vertex_coloring
+from repro.verify.checkers import verify_vertex_coloring
 from repro.graphs import max_degree, random_regular
 from repro.local import RoundLedger
 from repro.substrates import ColoringOracle

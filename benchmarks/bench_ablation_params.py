@@ -7,7 +7,7 @@ time against base-case time (the tradeoff Theorem 2.7 formalizes).
 
 import pytest
 
-from repro.analysis import verify_vertex_coloring
+from repro.verify.checkers import verify_vertex_coloring
 from repro.core import cd_coloring, choose_t_clique
 from repro.graphs import line_graph_with_cover, random_regular
 

@@ -11,7 +11,7 @@
 
 import pytest
 
-from repro.analysis import verify_edge_coloring
+from repro.verify.checkers import verify_edge_coloring
 from repro.baselines import forest_edge_coloring
 from repro.core import edge_color_bounded_arboricity
 from repro.graphs import max_degree, star_forest_stack

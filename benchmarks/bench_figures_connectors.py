@@ -6,7 +6,7 @@ and records the degree bound check in extra_info.
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.figures import (
     figure1_clique_connector,
     figure2_edge_connector,
     figure3_orientation_connector,

@@ -2,8 +2,9 @@
 
 Benchmarks attach the reproduction's measured values (colors, simulator
 rounds, modeled rounds, the paper's bound) to pytest-benchmark's
-``extra_info``, so `pytest benchmarks/ --benchmark-only` regenerates every
-table/figure row alongside the wall-time measurement.
+``extra_info``, so `pytest benchmarks/ --benchmark-only` records every
+ablation/figure row alongside the wall-time measurement (the paper's
+tables themselves are `python -m repro tables`).
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import pytest
 
 
 def attach(benchmark, record) -> None:
-    """Attach an ExperimentRecord (or dict) to a benchmark run."""
-    data = record.as_dict() if hasattr(record, "as_dict") else dict(record)
-    for key, value in data.items():
+    """Attach a dict of measured values to a benchmark run."""
+    for key, value in dict(record).items():
         if value is not None:
             benchmark.extra_info[key] = value
 

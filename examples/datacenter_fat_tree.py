@@ -12,7 +12,7 @@ Run:  python examples/datacenter_fat_tree.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import verify_edge_coloring
+from repro.verify.checkers import verify_edge_coloring
 from repro.baselines import misra_gries_edge_coloring
 from repro.core import four_delta_edge_coloring
 from repro.graphs import fat_tree, max_degree

@@ -8,7 +8,7 @@ deterministic distributed algorithm on color count.
 Run:  python examples/planar_low_arboricity.py
 """
 
-from repro.analysis import verify_edge_coloring
+from repro.verify.checkers import verify_edge_coloring
 from repro.baselines import (
     degree_splitting_edge_coloring,
     greedy_edge_coloring,

@@ -1,32 +1,32 @@
-"""Experiment campaigns: persist reproduction runs, diff them, and fan
-high-throughput grids across a process pool.
+"""Experiment campaigns: fan (algorithm x workload x seed) cell grids
+across a process pool, and diff the paper's tables against a stored
+baseline.
 
-Two layers:
+Every cell is one ``(algorithm x workload x seed)`` triple resolved
+through :mod:`repro.registry`, executed under a per-cell engine choice
+(see :mod:`repro.engine`) and streamed across ``--jobs`` worker
+processes by :class:`CampaignRunner`. Results are structured rows —
+wall-clock, colors, rounds, messages, the invariant verdict — that the
+store, the tables and the report consume uniformly::
 
-* The *record* campaign (original): the full experiment grid (Tables 1-2,
-  Section 5, Figures) serialized to JSON with enough metadata to re-run it
-  bit-for-bit, plus a regression comparator::
+    python -m repro campaign cells --engine vector --jobs 8 --out cells.json
 
-      python -m repro campaign run --out baseline.json
-      ... hack on the library ...
-      python -m repro campaign check --baseline baseline.json
+The paper's tables are cell grids too (:func:`paper_grids`):
+``repro tables`` renders them, ``repro campaign run`` stores them and
+``repro campaign check`` re-runs them and flags regressions against a
+stored baseline::
 
-* The *cell* campaign (:class:`CampaignRunner`): every cell is one
-  ``(algorithm x workload x seed)`` triple resolved through
-  :mod:`repro.registry`, executed under a per-cell engine choice (see
-  :mod:`repro.engine`) and streamed across ``--jobs`` worker processes.
-  Results are structured JSON rows — wall-clock, colors, rounds, messages
-  — that tables and plots consume uniformly::
+    python -m repro campaign run --store baseline.db
+    ... hack on the library ...
+    python -m repro campaign check --baseline baseline.db
 
-      python -m repro campaign cells --engine vector --jobs 8 --out cells.json
-
-  The executor is a *windowed* ``as_completed`` stream: at most a bounded
-  number of payloads/futures exist at any moment (a 100k-cell grid never
-  materializes in memory), every resolved cell is handed to the attached
-  :class:`~repro.store.RunCache` the instant its future completes (so a
-  SIGKILL loses at most the in-flight window), transient failures are
-  retried per cell, and a ``BrokenProcessPool`` costs only the in-flight
-  cells — the pool is rebuilt and the campaign resumes.
+The executor is a *windowed* ``as_completed`` stream: at most a bounded
+number of payloads/futures exist at any moment (a 100k-cell grid never
+materializes in memory), every resolved cell is handed to the attached
+:class:`~repro.store.RunCache` the instant its future completes (so a
+SIGKILL loses at most the in-flight window), transient failures are
+retried per cell, and a ``BrokenProcessPool`` costs only the in-flight
+cells — the pool is rebuilt and the campaign resumes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import platform
 import time
-from collections.abc import MutableMapping
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -52,177 +51,13 @@ from typing import (
     Union,
 )
 
-import networkx as nx
-
 from repro import workloads as _workloads
-from repro.analysis.metrics import ExperimentRecord
 from repro.errors import InvalidParameterError
 from repro.store.cache import RunCache
 
 PathLike = Union[str, Path]
 
-CAMPAIGN_FORMAT = 1
 CELL_CAMPAIGN_FORMAT = 2
-
-
-def default_grid() -> List[ExperimentRecord]:
-    """The standard grid: a compact version of every table reproduction."""
-    from repro.analysis.tables import run_section5, run_table1, run_table2
-
-    records: List[ExperimentRecord] = []
-    records.extend(run_table1(deltas=(8, 16), x_values=(1, 2), n=48))
-    records.extend(
-        run_table2(
-            configs=({"diversity": 2, "delta": 8}, {"diversity": 3, "delta": 6}),
-            x_values=(1, 2),
-        )
-    )
-    records.extend(run_section5(arboricities=(2,), include_recursive=False))
-    return records
-
-
-def _record_key(record: ExperimentRecord) -> str:
-    params = ",".join(f"{k}={v}" for k, v in sorted(record.params.items()))
-    return f"{record.experiment}|{record.workload}|{params}"
-
-
-def save_campaign(records: Sequence[ExperimentRecord], path: PathLike) -> None:
-    payload = {
-        "format": CAMPAIGN_FORMAT,
-        "library_version": _library_version(),
-        "python": platform.python_version(),
-        "records": [r.as_dict() for r in records],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-
-
-def load_campaign(path: PathLike) -> List[Dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != CAMPAIGN_FORMAT:
-        raise InvalidParameterError(
-            f"{path}: unsupported campaign format {payload.get('format')!r}"
-        )
-    return payload["records"]
-
-
-def _library_version() -> str:
-    import repro
-
-    return repro.__version__
-
-
-def _key_from_dict(row: Dict[str, Any]) -> str:
-    params = ",".join(
-        f"{k[len('param_'):]}={v}" for k, v in sorted(row.items()) if k.startswith("param_")
-    )
-    return f"{row['experiment']}|{row['workload']}|{params}"
-
-
-@dataclass
-class Regression:
-    key: str
-    field: str
-    baseline: Any
-    current: Any
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.key}: {self.field} {self.baseline!r} -> {self.current!r}"
-
-
-def compare_campaigns(
-    baseline: Sequence[Dict[str, Any]],
-    current: Sequence[ExperimentRecord],
-    color_slack: int = 0,
-    round_slack: float = 0.25,
-) -> List[Regression]:
-    """Flag rows of ``current`` that regressed against ``baseline``.
-
-    Regressions: a row disappearing, a bound violation appearing, colors
-    exceeding the baseline by more than ``color_slack``, or measured rounds
-    exceeding the baseline by more than a ``round_slack`` fraction.
-    """
-    baseline_by_key = {_key_from_dict(row): row for row in baseline}
-    regressions: List[Regression] = []
-    for record in current:
-        key = _record_key(record)
-        old = baseline_by_key.get(key)
-        if old is None:
-            regressions.append(Regression(key, "missing-from-baseline", None, "present"))
-            continue
-        if old.get("within_bound") and record.within_bound is False:
-            regressions.append(
-                Regression(key, "within_bound", old["within_bound"], record.within_bound)
-            )
-        old_colors = old.get("colors_used")
-        if old_colors is not None and record.colors_used > old_colors + color_slack:
-            regressions.append(
-                Regression(key, "colors_used", old_colors, record.colors_used)
-            )
-        old_rounds = old.get("rounds_actual")
-        if (
-            old_rounds
-            and record.rounds_actual is not None
-            and record.rounds_actual > old_rounds * (1 + round_slack)
-        ):
-            regressions.append(
-                Regression(key, "rounds_actual", old_rounds, record.rounds_actual)
-            )
-    return regressions
-
-
-# --------------------------------------------------------------------------
-# Cell campaigns: (algorithm x workload x seed) through the registries
-# --------------------------------------------------------------------------
-
-class _WorkloadTable(MutableMapping):
-    """Legacy view of the workload registry.
-
-    Preserves the original PR-1 contract: values are callables taking
-    ``(seed=..., **params)``, assignment registers a factory, ``pop``
-    unregisters. All operations are live views onto
-    :mod:`repro.workloads` — there is exactly one registry.
-    """
-
-    def __getitem__(self, name: str) -> Callable[..., nx.Graph]:
-        try:
-            _workloads.get(name)
-        except InvalidParameterError:
-            raise KeyError(name) from None
-        return lambda seed=0, **params: _workloads.build(name, params, seed=seed)
-
-    def __setitem__(self, name: str, factory: Callable[..., nx.Graph]) -> None:
-        _workloads.register_factory(name, factory, replace=True)
-
-    def __delitem__(self, name: str) -> None:
-        del _workloads.registry._REGISTRY[name]
-
-    def __iter__(self):
-        return iter(_workloads.names())
-
-    def __len__(self) -> int:
-        return len(_workloads.names())
-
-
-#: The live workload table — a legacy view over :mod:`repro.workloads`
-#: (use that module directly in new code).
-WORKLOADS: MutableMapping = _WorkloadTable()
-
-
-def register_workload(name: str, factory: Callable[..., nx.Graph]) -> None:
-    """Legacy registration shim: wrap ``factory`` into a
-    :class:`~repro.workloads.WorkloadSpec` (replacing any existing name)."""
-    _workloads.register_factory(name, factory, replace=True)
-
-
-def workload_names() -> List[str]:
-    return _workloads.names()
-
-
-def build_workload(name: str, params: Mapping[str, Any], seed: int = 0) -> nx.Graph:
-    """Instantiate workload ``name`` with ``params`` and ``seed``."""
-    return _workloads.build(name, params, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -320,7 +155,7 @@ def _execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                     engine=payload["engine"],
                 ).key())
             with obs.span("campaign.build", workload=payload["workload"]):
-                graph = build_workload(
+                graph = _workloads.build(
                     payload["workload"], payload["workload_params"],
                     seed=payload["seed"],
                 )
@@ -1066,10 +901,316 @@ def default_cells(
     return cells
 
 
+# --------------------------------------------------------------------------
+# The paper's tables as cell grids
+# --------------------------------------------------------------------------
+
+#: The baseline-landscape rows: algorithm, its parameters, the row label
+#: and the rounds column it reports (a format over the campaign row).
+_LANDSCAPE = (
+    ("star4", {}, "star-partition x=1 (this paper, 4Δ)", "{rounds_modeled:.0f}"),
+    ("star", {"x": 2}, "star-partition x=2 (this paper, 8Δ)", "{rounds_modeled:.0f}"),
+    ("weak", {}, "weak Δ^(1+ε) ([6,7] regime)", "{rounds_actual:.0f}"),
+    ("forest", {}, "forest decomposition (O(aΔ))", "{rounds_actual:.0f}"),
+    ("randomized", {"seed": 19}, "randomized 2Δ trial ([14,16,22] regime)",
+     "{rounds_actual:.0f}"),
+    ("split", {}, "degree splitting ([20,25] regime)", "{rounds_modeled:.0f} (modeled)"),
+    ("greedy", {}, "greedy 2Δ-1 (sequential)", "—"),
+    ("vizing", {}, "Misra–Gries Δ+1 (centralized)", "—"),
+)
+
+#: Section 5 row labels by algorithm (the split row is the [20,25]
+#: baseline; vizing and greedy feed the baseline columns instead).
+_SECTION5_LABELS = {
+    "thm52": "thm5.2",
+    "thm53": "thm5.3",
+    "thm54": "thm5.4(x={x})",
+    "cor55": "cor5.5",
+    "split": "baseline-degree-splitting",
+}
+
+
+def paper_grids() -> Dict[str, List[CampaignCell]]:
+    """The paper's evidence as named cell grids, in print order:
+
+    * ``table1`` — Table 1, Theorem 4.1's ``2^(x+1) Delta`` edge coloring
+      on random regular graphs;
+    * ``table2`` — Table 2, Theorem 3.3(i)'s ``D^(x+1) S`` vertex coloring
+      on line graphs of regular graphs (D=2) and of c-uniform
+      hypergraphs (D=c);
+    * ``section5`` — the ``Delta + o(Delta)`` pipeline on star-forest
+      stacks, with the split, Vizing and greedy baselines;
+    * ``landscape`` — every executable baseline on one shared workload;
+    * ``oracle`` and ``hpartition`` — the oracle-substitution and
+      H-partition-slack ablations, plus the [6] vertex-coloring boundary.
+
+    ``repro tables`` renders them (:func:`paper_tables_markdown`),
+    ``repro campaign run`` stores them and ``repro campaign check``
+    diffs them against a stored baseline."""
+    stack = {"n_centers": 6, "leaves_per_center": 18, "a": 2}
+    hypergraphs = ({"n": 40, "edges": 160, "c": 3}, {"n": 40, "edges": 120, "c": 4})
+    return {
+        "table1": [
+            CampaignCell("star", "random-regular", {"n": 96, "d": d}, 7, {"x": x})
+            for d in (8, 16, 24)
+            for x in (1, 2, 3)
+        ],
+        "table2": [
+            CampaignCell("cd-vertex", workload, params, 11, {"x": x})
+            for workload, params in (
+                *(("line-of-regular", {"n": 48, "d": d}) for d in (8, 16)),
+                *(("hypergraph-line", params) for params in hypergraphs),
+            )
+            for x in (1, 2, 3)
+        ],
+        "section5": [
+            CampaignCell(
+                algorithm,
+                "star-forest-stack",
+                {"n_centers": 6, "leaves_per_center": 24, "a": a},
+                13,
+                params,
+            )
+            for a in (2, 3)
+            for algorithm, params in (
+                ("thm52", {"arboricity": a}),
+                ("thm53", {"arboricity": a}),
+                ("thm54", {"x": 2, "arboricity": a}),
+                ("cor55", {"arboricity": a}),
+                ("split", {}),
+                ("vizing", {}),
+                ("greedy", {}),
+            )
+        ],
+        "landscape": [
+            CampaignCell(algorithm, "random-regular", {"n": 64, "d": 16}, 19, params)
+            for algorithm, params, _, _ in _LANDSCAPE
+        ],
+        "oracle": [
+            CampaignCell("oracle-vertex", "random-regular", {"n": 48, "d": d}, 23)
+            for d in (4, 8, 16)
+        ],
+        "hpartition": [
+            CampaignCell(algorithm, "star-forest-stack", stack, 29, {"arboricity": 2, "q": q})
+            for q in (2.5, 3.0, 6.0)
+            for algorithm in ("h-partition", "thm52")
+        ]
+        + [CampaignCell("vertex-arboricity", "star-forest-stack", stack, 29, {"arboricity": 2})],
+    }
+
+
+def paper_cells() -> List[CampaignCell]:
+    """Every cell of :func:`paper_grids`, flattened in print order."""
+    return [cell for grid in paper_grids().values() for cell in grid]
+
+
+def _table_record(row: Mapping[str, Any], experiment: str, workload: str,
+                  delta: Any, colors_bound: Any, **columns: Any) -> Dict[str, Any]:
+    return dict(
+        experiment=experiment,
+        workload=workload,
+        delta=delta,
+        colors_used=row["colors_used"],
+        colors_bound=colors_bound,
+        within_bound=None if colors_bound is None else row["colors_used"] <= colors_bound,
+        rounds_actual=row["rounds_actual"],
+        rounds_modeled=row["rounds_modeled"],
+        **columns,
+    )
+
+
+_TABLE_COLUMNS = (
+    "experiment", "workload", "delta", "param_x", "colors_used",
+    "colors_bound", "within_bound", "rounds_actual", "rounds_modeled",
+    "baseline_colors", "baseline_rounds",
+)
+
+#: The sections of :func:`paper_tables`, in print order: name, markdown
+#: heading, columns.
+PAPER_SECTIONS = (
+    ("table1", "## Table 1 — (2^(x+1) Δ)-edge-coloring of general graphs",
+     _TABLE_COLUMNS),
+    ("table2", "## Table 2 — (D^(x+1) S)-vertex-coloring, bounded diversity",
+     _TABLE_COLUMNS),
+    ("section5", "## Section 5 — (Δ + o(Δ))-edge-coloring, bounded arboricity",
+     ("experiment", "workload", "delta", "param_a", "colors_used", "colors_bound",
+      "rounds_actual", "rounds_modeled", "baseline_colors", "notes")),
+    ("landscape", "## Baseline landscape", ("algorithm", "colors", "rounds")),
+    ("oracle", "## Ablations\n\n### Oracle substitution (A2): measured vs modeled rounds",
+     ("Δ", "measured rounds", "modeled ([17]) rounds")),
+    ("slack", "### H-partition slack q (A3): levels vs degree bound",
+     ("q", "levels", "ceil(q·a)", "Thm 5.2 colors")),
+    ("boundary", "### Related-work boundary ([6]): (Δ+1)-vertex-coloring",
+     ("Δ", "colors", "rounds")),
+)
+
+
+def paper_tables(rows: Sequence[Mapping[str, Any]]) -> Dict[str, List[Dict[str, Any]]]:
+    """Turn the campaign rows of :func:`paper_cells` (in cell order, as
+    :meth:`CampaignRunner.run` returns them) into the records of each
+    :data:`PAPER_SECTIONS` table: the paper tables gain their palette
+    bound and the analytic previous-work columns
+    (:mod:`repro.baselines.previous`), the ablations their derived
+    columns."""
+    from repro.baselines import table1_row, table2_row
+
+    grids: Dict[str, List[Mapping[str, Any]]] = {}
+    remaining = list(rows)
+    for name, cells in paper_grids().items():
+        grids[name], remaining = remaining[: len(cells)], remaining[len(cells):]
+
+    table1 = []
+    for row in grids["table1"]:
+        n, d, x = row["n"], row["workload_params"]["d"], row["algo_params"]["x"]
+        previous = table1_row(d, n, x)
+        table1.append(_table_record(
+            row, "table1", f"random-regular(n={n}, d={d})", d,
+            row["extra"]["target_colors"], param_x=x,
+            baseline_colors=previous.previous_colors,
+            baseline_rounds=previous.previous_rounds,
+        ))
+    table2 = []
+    for row in grids["table2"]:
+        extra, params = row["extra"], row["workload_params"]
+        previous = table2_row(
+            extra["D"], extra["S"], extra["delta"], row["n"], extra["x"]
+        )
+        workload = (
+            f"line-graph(regular d={params['d']})"
+            if row["workload"] == "line-of-regular"
+            else f"hypergraph-line({params['c']}-uniform)"
+        )
+        table2.append(_table_record(
+            row, "table2", workload, extra["delta"],
+            max(extra["target_colors"], extra["palette_bound"]), param_x=extra["x"],
+            baseline_colors=previous.previous_colors,
+            baseline_rounds=previous.previous_rounds,
+        ))
+    section5 = []
+    by_arboricity: Dict[Any, Dict[str, Mapping[str, Any]]] = {}
+    for row in grids["section5"]:
+        by_arboricity.setdefault(row["workload_params"]["a"], {})[row["algorithm"]] = row
+    for a, group in by_arboricity.items():
+        delta = group["thm52"]["extra"]["delta"]
+        for algorithm, label in _SECTION5_LABELS.items():
+            row = group[algorithm]
+            section5.append(_table_record(
+                row, label.format(**row["algo_params"]),
+                f"star-forest-stack(a={a}, Delta={delta})", delta,
+                row["extra"].get("palette_bound") or None, param_a=a,
+                baseline_colors=group["vizing"]["colors_used"],
+                notes="" if algorithm == "split"
+                else f"greedy(2D-1)={group['greedy']['colors_used']}",
+            ))
+    *slack_rows, vertex = grids["hpartition"]
+    return {
+        "table1": table1,
+        "table2": table2,
+        "section5": section5,
+        "landscape": [
+            {"algorithm": label, "colors": row["colors_used"], "rounds": rounds.format(**row)}
+            for (_, _, label, rounds), row in zip(_LANDSCAPE, grids["landscape"])
+        ],
+        "oracle": [
+            {
+                "Δ": row["workload_params"]["d"],
+                "measured rounds": f"{row['rounds_actual']:.0f}",
+                "modeled ([17]) rounds": f"{row['rounds_modeled']:.0f}",
+            }
+            for row in grids["oracle"]
+        ],
+        "slack": [
+            {
+                "q": hp["algo_params"]["q"],
+                "levels": hp["extra"]["num_levels"],
+                "ceil(q·a)": hp["extra"]["threshold"],
+                "Thm 5.2 colors": thm52["colors_used"],
+            }
+            for hp, thm52 in zip(slack_rows[::2], slack_rows[1::2])
+        ],
+        "boundary": [{
+            "Δ": vertex["extra"]["delta"],
+            "colors": vertex["colors_used"],
+            "rounds": f"{vertex['rounds_actual']:.0f}",
+        }],
+    }
+
+
+def paper_tables_markdown(rows: Sequence[Mapping[str, Any]]) -> str:
+    """The :func:`paper_tables` of ``rows`` as the markdown sections
+    ``repro tables`` prints (and EXPERIMENTS.md quotes)."""
+    from repro.analysis.dataframes import cell_rows_markdown
+
+    tables = paper_tables(rows)
+    return "\n".join(
+        f"{heading}\n\n{cell_rows_markdown(tables[name], columns)}\n"
+        for name, heading, columns in PAPER_SECTIONS
+    )
+
+
+def cell_key(row: Mapping[str, Any]) -> str:
+    """The :meth:`CampaignCell.key` of the cell a campaign or store row
+    came from. Unlike the run key it leaves out the engine and the code
+    version, so it matches the same cell across commits."""
+    return CampaignCell(
+        algorithm=row["algorithm"],
+        workload=row["workload"],
+        workload_params=row.get("workload_params") or {},
+        seed=row.get("seed", 0),
+        algo_params=row.get("algo_params") or {},
+    ).key()
+
+
+@dataclass
+class Regression:
+    key: str
+    field: str
+    baseline: Any
+    current: Any
+
+    def __str__(self) -> str:
+        return f"{self.key}: {self.field} {self.baseline!r} -> {self.current!r}"
+
+
+def compare_campaigns(
+    baseline: Sequence[Mapping[str, Any]],
+    current: Sequence[Mapping[str, Any]],
+    color_slack: int = 0,
+    round_slack: float = 0.25,
+) -> List[Regression]:
+    """Flag rows of ``current`` that regressed against ``baseline`` (both
+    campaign or store rows, matched by :func:`cell_key`).
+
+    Regressions: a row missing from the baseline, a verdict that was
+    ``ok`` and no longer is, colors exceeding the baseline by more than
+    ``color_slack``, or measured rounds exceeding the baseline by more
+    than a ``round_slack`` fraction.
+    """
+    baseline_by_key = {cell_key(row): row for row in baseline}
+    regressions: List[Regression] = []
+    for row in current:
+        key = cell_key(row)
+        old = baseline_by_key.get(key)
+        if old is None:
+            regressions.append(Regression(key, "missing-from-baseline", None, "present"))
+            continue
+        if old.get("verdict") == "ok" and row.get("verdict") != "ok":
+            regressions.append(Regression(key, "verdict", "ok", row.get("verdict")))
+        old_colors, colors = old.get("colors_used"), row.get("colors_used")
+        if old_colors is not None and colors is not None and colors > old_colors + color_slack:
+            regressions.append(Regression(key, "colors_used", old_colors, colors))
+        old_rounds, rounds = old.get("rounds_actual"), row.get("rounds_actual")
+        if old_rounds and rounds is not None and rounds > old_rounds * (1 + round_slack):
+            regressions.append(Regression(key, "rounds_actual", old_rounds, rounds))
+    return regressions
+
+
 def save_cell_results(results: Sequence[Dict[str, Any]], path: PathLike) -> None:
+    import repro
+
     payload = {
         "format": CELL_CAMPAIGN_FORMAT,
-        "library_version": _library_version(),
+        "library_version": repro.__version__,
         "python": platform.python_version(),
         "results": list(results),
     }

@@ -34,7 +34,9 @@ from typing import (
 __all__ = [
     "Frame",
     "METRIC_COLUMNS",
+    "CELL_ROW_COLUMNS",
     "cell_frame",
+    "cell_rows_markdown",
     "load_store_frame",
     "row_compute_ms",
     "row_delta",
@@ -273,3 +275,51 @@ def load_store_frame(store: Any, **filters: Any) -> Frame:
     through to :meth:`~repro.store.ExperimentStore.query` (errored rows
     included — the report discloses them rather than hiding them)."""
     return cell_frame(store.query(**filters))
+
+
+#: Default column order of ``repro query --format markdown``:
+#: ``compute_ms`` comes from the schema-v3 metrics blob (hoisted by
+#: :func:`cell_frame`; "—" on pre-v3 rows) and ``verdict`` from the
+#: store's verification column — the table discloses kernel time and
+#: verification state, not just the run's shape.
+CELL_ROW_COLUMNS = (
+    "algorithm",
+    "workload",
+    "seed",
+    "engine",
+    "n",
+    "m",
+    "colors_used",
+    "rounds_actual",
+    "rounds_modeled",
+    "compute_ms",
+    "verdict",
+    "error",
+)
+
+
+def _fmt(value: Any) -> str:
+    if value is None:
+        return "—"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.1f}"
+    return str(value)
+
+
+def cell_rows_markdown(
+    rows: Iterable[Mapping[str, Any]],
+    columns: Sequence[str] = CELL_ROW_COLUMNS,
+) -> str:
+    """Render rows (plain dicts) as a GitHub-flavoured markdown table:
+    ``None`` prints as "—", booleans as yes/no, floats to one decimal.
+    Store rows go through :func:`cell_frame` first (``repro query`` does)
+    so metrics-blob columns such as ``compute_ms`` are addressable."""
+    header = "| " + " | ".join(columns) + " |"
+    rule = "|" + "|".join("---" for _ in columns) + "|"
+    body = [
+        "| " + " | ".join(_fmt(row.get(column)) for column in columns) + " |"
+        for row in rows
+    ]
+    return "\n".join([header, rule, *body])

@@ -18,8 +18,10 @@ Subcommands:
   front-end (kept for compatibility; now registry-resolved).
 * ``sweep`` — a Delta ladder for one algorithm across random regular
   graphs, with per-point engine/jobs control.
-* ``campaign`` — ``run``/``check`` persist and diff the table-reproduction
-  record grid; ``cells`` streams the (algorithm x workload x seed) cell
+* ``campaign`` — ``run`` stores the paper's table grids (the cells behind
+  ``tables``) in ``--store``; ``check --baseline OLD.db`` re-runs them and
+  flags cells whose verdict, colors or rounds regressed against the
+  stored rows; ``cells`` streams the (algorithm x workload x seed) cell
   grid across a process pool with bounded in-flight submission, optionally
   against a content-addressed experiment store (``--store runs.db``) that
   persists every cell the instant it completes, so already-computed cells
@@ -42,8 +44,9 @@ Subcommands:
 * ``verify`` — re-execute and re-verify persisted store rows against the
   invariant oracles (:mod:`repro.verify`), and ``--diff``: run sampled
   cells under every engine and compare the outputs field by field.
-* ``tables`` / ``figures`` / ``experiments`` — the paper-reproduction
-  harnesses.
+* ``tables`` — run the paper's table grids as campaign cells (Tables 1-2,
+  Section 5, the baseline landscape and the ablations) and print them as
+  markdown; ``figures`` — the Figure 1-3 connector bound checks.
 
 Engine selection (``--engine {reference,vector}``) routes every simulated
 round through :mod:`repro.engine`; ``--jobs N`` parallelizes across worker
@@ -62,7 +65,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import io as repro_io
 from repro import registry
-from repro.engine import available_engines, use_engine
+from repro.engine import available_engines
 from repro.errors import ColoringError
 from repro.graphs.properties import arboricity_bounds, degeneracy, max_degree
 
@@ -249,12 +252,8 @@ def _enter_cli_sharding(stack, graph, args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.analysis.campaign import (
-        CampaignCell,
-        CampaignRunner,
-        build_workload,
-        workload_names,
-    )
+    from repro import workloads
+    from repro.analysis.campaign import CampaignCell, CampaignRunner
 
     spec = registry.get(args.algorithm)
     params = _algorithm_params(spec, args)
@@ -305,9 +304,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "shard.fallback counter)"
             )
     else:
-        if args.workload not in workload_names():
+        if args.workload not in workloads.names():
             raise SystemExit(
-                f"unknown workload {args.workload!r}; choose from {workload_names()}"
+                f"unknown workload {args.workload!r}; choose from {workloads.names()}"
             )
         workload_params = dict(args.workload_param or ())
         seeds = args.seeds
@@ -395,11 +394,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import main as tables_main
+def _print_cell_failures(rows: List[Dict[str, Any]]) -> int:
+    """Print a FAILED line per errored row and a VIOLATION line per failed
+    verdict; return how many rows were bad."""
+    failed = [r for r in rows if r["error"]]
+    bad_verdicts = [r for r in rows if r.get("verdict") == "fail"]
+    for row in failed:
+        print(f"FAILED {row['algorithm']} on {row['workload']}: {row['error']}")
+    for row in bad_verdicts:
+        print(
+            f"VIOLATION {row['algorithm']} on {row['workload']} "
+            f"seed={row['seed']}: {row.get('violation')}"
+        )
+    return len(failed) + len(bad_verdicts)
 
-    with use_engine(args.engine):
-        tables_main()
+
+def cmd_tables(args: argparse.Namespace) -> int:
+    from repro.analysis.campaign import (
+        CampaignRunner,
+        paper_cells,
+        paper_tables_markdown,
+    )
+
+    rows = CampaignRunner(paper_cells(), engine=args.engine).run()
+    if _print_cell_failures(rows):
+        return 1
+    print(paper_tables_markdown(rows))
     return 0
 
 
@@ -407,14 +427,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from repro.analysis.figures import main as figures_main
 
     figures_main()
-    return 0
-
-
-def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import main as experiments_main
-
-    with use_engine(args.engine):
-        experiments_main([args.output] if args.output else [])
     return 0
 
 
@@ -480,16 +492,22 @@ def _progress_printer(min_interval_s: float = 0.1):
     return emit
 
 
-def _campaign_cells(args: argparse.Namespace) -> int:
+def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.analysis.campaign import (
         CampaignRunner,
+        compare_campaigns,
         default_cells,
         grid_cells,
+        paper_cells,
         save_cell_results,
     )
 
-    if not args.out and not args.store:
+    if args.action == "cells" and not args.out and not args.store:
         raise SystemExit("campaign cells requires --out and/or --store")
+    if args.action == "run" and not args.store:
+        raise SystemExit("campaign run requires --store")
+    if args.action == "check" and not args.baseline:
+        raise SystemExit("campaign check requires --baseline")
     if args.resume and args.fresh:
         raise SystemExit("--resume and --fresh are mutually exclusive")
     if (args.resume or args.fresh) and not args.store:
@@ -499,7 +517,13 @@ def _campaign_cells(args: argparse.Namespace) -> int:
             f"--resume: no store at {args.store} (run once without --resume first)"
         )
 
-    if args.algorithms or args.workloads or args.seeds is not None:
+    baseline: List[Dict[str, Any]] = []
+    if args.action == "check":
+        with _open_store(args.baseline) as baseline_store:
+            baseline = baseline_store.query()
+    if args.action != "cells":
+        cells = paper_cells()
+    elif args.algorithms or args.workloads or args.seeds is not None:
         from repro import registry as algo_registry
         from repro import workloads as workload_registry
 
@@ -538,8 +562,16 @@ def _campaign_cells(args: argparse.Namespace) -> int:
         if args.progress:
             print(file=sys.stderr)
 
-    failed = [r for r in results if r["error"]]
-    bad_verdicts = [r for r in results if r.get("verdict") == "fail"]
+    if args.action == "check":
+        regressions = compare_campaigns(baseline, results)
+        for regression in regressions:
+            print(f"REGRESSION {regression}")
+        if not regressions:
+            print(f"no regressions across {len(results)} cells")
+        return 1 if regressions else 0
+
+    failed = sum(1 for r in results if r["error"])
+    bad_verdicts = sum(1 for r in results if r.get("verdict") == "fail")
     # runner counters, so the summary agrees with --progress: in-run
     # duplicates (one computation shared across cells) count as hits
     served = runner.last_progress.hits
@@ -549,53 +581,15 @@ def _campaign_cells(args: argparse.Namespace) -> int:
     if args.store:
         print(
             f"campaign: {len(results)} cells, {served} from cache, "
-            f"{len(results) - served} computed, {len(failed)} failed, "
-            f"{len(bad_verdicts)} invariant violations (store: {args.store})"
+            f"{len(results) - served} computed, {failed} failed, "
+            f"{bad_verdicts} invariant violations (store: {args.store})"
         )
     else:
         print(
-            f"completed {len(results)} cells ({len(failed)} failed, "
-            f"{len(bad_verdicts)} invariant violations)"
+            f"completed {len(results)} cells ({failed} failed, "
+            f"{bad_verdicts} invariant violations)"
         )
-    for row in failed:
-        print(f"FAILED {row['algorithm']} on {row['workload']}: {row['error']}")
-    for row in bad_verdicts:
-        print(
-            f"VIOLATION {row['algorithm']} on {row['workload']} "
-            f"seed={row['seed']}: {row.get('violation')}"
-        )
-    return 1 if failed or bad_verdicts else 0
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.analysis.campaign import (
-        compare_campaigns,
-        default_grid,
-        load_campaign,
-        save_campaign,
-    )
-
-    if args.action == "cells":
-        return _campaign_cells(args)
-
-    if args.action == "run" and not args.out:
-        raise SystemExit("campaign run requires --out")
-    if args.action == "check" and not args.baseline:
-        raise SystemExit("campaign check requires --baseline")
-    with use_engine(args.engine):
-        records = default_grid()
-    if args.action == "run":
-        save_campaign(records, args.out)
-        print(f"saved {len(records)} records to {args.out}")
-        return 0
-    baseline = load_campaign(args.baseline)
-    regressions = compare_campaigns(baseline, records)
-    if regressions:
-        for regression in regressions:
-            print(f"REGRESSION {regression}")
-        return 1
-    print(f"no regressions across {len(records)} records")
-    return 0
+    return 1 if _print_cell_failures(results) else 0
 
 
 def cmd_workloads(args: argparse.Namespace) -> int:
@@ -793,12 +787,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps([stable_row(r) for r in rows], indent=1, sort_keys=True)
     elif args.format == "markdown":
-        from repro.analysis.tables import cell_rows_markdown
+        from repro.analysis.dataframes import cell_frame, cell_rows_markdown
 
-        text = cell_rows_markdown(rows)
+        text = cell_rows_markdown(cell_frame(rows))
     else:
-        from repro.analysis.dataframes import cell_frame
-        from repro.analysis.tables import CELL_ROW_COLUMNS
+        from repro.analysis.dataframes import CELL_ROW_COLUMNS, cell_frame
 
         header = " ".join(f"{c:>14}" for c in CELL_ROW_COLUMNS)
         body = [
@@ -1297,25 +1290,23 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures", help="print the figure bound checks")
     figures.set_defaults(func=cmd_figures)
 
-    experiments = sub.add_parser("experiments", help="regenerate EXPERIMENTS.md")
-    experiments.add_argument("output", nargs="?", help="output path")
-    experiments.add_argument("--engine", choices=available_engines(), default=None)
-    experiments.set_defaults(func=cmd_experiments)
-
     campaign = sub.add_parser(
         "campaign", help="run/compare persisted experiment campaigns"
     )
     campaign.add_argument(
         "action",
         choices=("run", "check", "cells"),
-        help="run/check the record grid, or fan the cell grid across --jobs",
+        help="run (into --store) or check (against --baseline) the paper's "
+        "table grids, or fan the cell grid across --jobs",
     )
-    campaign.add_argument("--out", help="where to save the campaign (run/cells)")
-    campaign.add_argument("--baseline", help="baseline file to compare against (check)")
+    campaign.add_argument("--out", help="where to save the cell results as JSON (cells)")
+    campaign.add_argument(
+        "--baseline", help="baseline experiment store to compare against (check)"
+    )
     campaign.add_argument(
         "--store",
         help="experiment store (SQLite): cache hits skip recomputation and "
-        "every finished cell is persisted immediately (cells)",
+        "every finished cell is persisted immediately (cells, run, check)",
     )
     campaign.add_argument(
         "--resume",

@@ -197,6 +197,30 @@ def cd_coloring_polylog(
     return cd_coloring(graph, cover, x=x, oracle=oracle, ledger=ledger, trim=False)
 
 
+def cover_from_node_attributes(graph) -> CliqueCover:
+    """The clique cover a graph carries in its nodes' ``cliques``
+    attributes (as the ``line-of-regular`` and ``hypergraph-line``
+    workloads set them): clique ``k`` is the set of nodes that list ``k``.
+    Works on networkx graphs and on :class:`~repro.graphcore.CompactGraph`."""
+    if isinstance(graph, nx.Graph):
+        data = graph.nodes(data=True)
+    else:  # CompactGraph keeps node attributes in its sideband
+        attrs = graph.node_attrs or {}
+        data = ((v, attrs.get(v, {})) for v in graph.nodes())
+    cliques: Dict[int, List[NodeId]] = {}
+    for v, node_data in data:
+        ids = node_data.get("cliques")
+        if ids is None:
+            raise InvalidParameterError(
+                "cd-vertex needs a clique cover: every node must carry a "
+                "'cliques' attribute (the line-of-regular and hypergraph-line "
+                "workloads set it)"
+            )
+        for k in ids:
+            cliques.setdefault(k, []).append(v)
+    return CliqueCover.from_cliques(cliques[k] for k in sorted(cliques))
+
+
 @dataclass
 class CDEdgeColoringResult:
     """Edge coloring obtained by CD-Coloring the line graph (Thm 3.3(ii))."""
@@ -257,6 +281,42 @@ def _run_cd(graph: nx.Graph, x: int = 1) -> _registry.AlgorithmRun:
     )
 
 
+def _run_cd_vertex(graph: nx.Graph, x: int = 1) -> _registry.AlgorithmRun:
+    result = cd_coloring(graph, cover_from_node_attributes(graph), x=x)
+    return _registry.AlgorithmRun(
+        name="cd-vertex",
+        kind="vertex-coloring",
+        coloring=result.coloring,
+        colors_used=result.colors_used,
+        rounds_actual=result.rounds_actual,
+        rounds_modeled=result.rounds_modeled,
+        extra={
+            "target_colors": result.target_colors,
+            "palette_bound": result.palette_bound,
+            "D": result.diversity,
+            "S": result.clique_size,
+            "delta": max((d for _, d in graph.degree()), default=0),
+            "x": x,
+        },
+    )
+
+
+_registry.register(
+    _registry.AlgorithmSpec(
+        name="cd-vertex",
+        family="core",
+        kind="vertex-coloring",
+        summary="Theorem 3.3(i): CD-Coloring (Algorithm 1) of a graph carrying "
+        "its clique cover",
+        color_bound="D^(x+1) * S",
+        rounds_bound="O~(x * sqrt(D) * S^(1/(x+1)) + log* n)",
+        runner=_run_cd_vertex,
+        params=("x",),
+        requires=("clique-cover",),
+        invariants=("proper-vertex-coloring", "palette-bound"),
+        compact_ok=True,  # subgraph/degree reads; the cover comes from node attrs
+    )
+)
 _registry.register(
     _registry.AlgorithmSpec(
         name="cd",

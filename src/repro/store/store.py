@@ -7,7 +7,7 @@ against one store file) safe: each writer opens its own connection and
 commits independently.
 
 The query API returns plain dicts — "DataFrame-like" rows the analysis
-layer (``analysis/tables.py``, ``analysis/sweeps.py``) consumes directly.
+layer (``analysis/dataframes.py``, ``analysis/report.py``) consumes directly.
 :func:`stable_row` projects a row onto the deterministic column subset
 (everything except wall-clock and timestamps), which is what makes a
 killed-and-resumed campaign byte-identical to an uninterrupted one.

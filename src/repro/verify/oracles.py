@@ -422,6 +422,23 @@ def _bound_cd(ctx: OracleContext) -> int:
     return cd_target_colors(2, max(ctx.delta, 3), _x_param(ctx, 1))
 
 
+def _bound_cd_vertex(ctx: OracleContext) -> int:
+    from repro.core.cd_coloring import cover_from_node_attributes
+    from repro.core.params import cd_palette_bound, cd_target_colors, choose_t_clique
+
+    # Theorem 3.3(i) on the cover the graph carries: the trim pass reduces
+    # to D^(x+1) * S when that is admissible, otherwise the hierarchical
+    # palette of Algorithm 1 (Section 3's t) is the ceiling.
+    cover = cover_from_node_attributes(ctx.graph)
+    diversity = max(1, cover.diversity())
+    clique_size = max(1, cover.max_clique_size())
+    x = _x_param(ctx, 1)
+    return max(
+        cd_target_colors(diversity, clique_size, x),
+        cd_palette_bound(diversity, clique_size, choose_t_clique(clique_size, x), x),
+    )
+
+
 def _bound_extra_palette(ctx: OracleContext) -> Optional[int]:
     bound = ctx.extra.get("palette_bound")
     return int(bound) if bound is not None else None
@@ -447,6 +464,7 @@ def _bound_cole_vishkin(ctx: OracleContext) -> int:
 register_palette_bound("star4", _bound_star4)
 register_palette_bound("star", _bound_star)
 register_palette_bound("cd", _bound_cd)
+register_palette_bound("cd-vertex", _bound_cd_vertex)
 register_palette_bound("thm52", _bound_extra_palette)
 register_palette_bound("thm53", _bound_extra_palette)
 register_palette_bound("thm54", _bound_extra_palette)

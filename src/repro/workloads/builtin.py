@@ -32,6 +32,7 @@ from repro.graphs import (
     random_bipartite_regular,
     random_regular,
     random_tree,
+    random_uniform_hypergraph,
     shared_vertex_cliques,
     star_forest_stack,
     torus,
@@ -56,8 +57,23 @@ def _geometric(n: int, radius: float, seed: int = 0) -> nx.Graph:
     return nx.random_geometric_graph(n, radius, seed=seed)
 
 
+def _with_cover(graph: nx.Graph, cover) -> nx.Graph:
+    """Carry a clique cover on the graph itself: each node's ``cliques``
+    attribute lists the indices of the cover cliques that contain it
+    (``cd-vertex`` rebuilds the cover from it). A list, not a tuple, so
+    the JSON attribute sideband of a ``.csrg`` file restores it equal."""
+    for v, ids in cover.membership.items():
+        graph.nodes[v]["cliques"] = list(ids)
+    return graph
+
+
 def _line_of_regular(n: int, d: int, seed: int = 0) -> nx.Graph:
-    return line_graph_with_cover(random_regular(n, d, seed=seed))[0]
+    return _with_cover(*line_graph_with_cover(random_regular(n, d, seed=seed)))
+
+
+def _hypergraph_line(n: int, edges: int, c: int, seed: int = 0) -> nx.Graph:
+    hypergraph = random_uniform_hypergraph(n=n, num_edges=edges, c=c, seed=seed)
+    return _with_cover(*hypergraph.line_graph_with_cover())
 
 
 def _register_builtins() -> None:
@@ -83,6 +99,9 @@ def _register_builtins() -> None:
          "union of d random perfect matchings between two sides"),
         ("line-of-regular", "diversity", True, {"n": 48, "d": 8}, _line_of_regular,
          "line graph of a random regular graph (diversity 2)"),
+        ("hypergraph-line", "diversity", True, {"n": 40, "edges": 160, "c": 3},
+         _hypergraph_line,
+         "line graph of a random c-uniform hypergraph (diversity c)"),
         ("planar-grid", "topology", False, {"rows": 8, "cols": 8}, planar_grid,
          "rows x cols grid (planar, arboricity <= 2)"),
         ("triangular-grid", "topology", False, {"rows": 8, "cols": 8},

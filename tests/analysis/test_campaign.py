@@ -1,85 +1,69 @@
-"""Tests for the campaign persistence and regression comparison."""
+"""Tests for the regression comparison of campaign rows."""
 
-import pytest
-
-from repro.errors import InvalidParameterError
-from repro.analysis.campaign import (
-    compare_campaigns,
-    load_campaign,
-    save_campaign,
-)
-from repro.analysis.metrics import ExperimentRecord
+from repro.analysis.campaign import CampaignCell, cell_key, compare_campaigns
 
 
-def make_record(colors=10, rounds=20.0, bound=16, experiment="t1", x=1):
-    return ExperimentRecord(
-        experiment=experiment,
-        workload="w",
-        n=10,
-        m=20,
-        delta=4,
-        params={"x": x},
-        colors_used=colors,
-        colors_bound=bound,
-        rounds_actual=rounds,
-    )
+def make_row(colors=10, rounds=20.0, verdict="ok", algorithm="t1", x=1):
+    return {
+        "algorithm": algorithm,
+        "workload": "w",
+        "workload_params": {"n": 10},
+        "seed": 0,
+        "algo_params": {"x": x},
+        "colors_used": colors,
+        "rounds_actual": rounds,
+        "verdict": verdict,
+    }
 
 
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        records = [make_record(), make_record(experiment="t2", x=2)]
-        path = tmp_path / "c.json"
-        save_campaign(records, path)
-        loaded = load_campaign(path)
-        assert len(loaded) == 2
-        assert loaded[0]["experiment"] == "t1"
-        assert loaded[0]["param_x"] == 1
-        assert loaded[0]["within_bound"] is True
+class TestCellKey:
+    def test_matches_the_cell_it_came_from(self):
+        cell = CampaignCell("t1", "w", {"n": 10}, seed=0, algo_params={"x": 1})
+        assert cell_key(make_row()) == cell.key()
 
-    def test_format_guard(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"format": 99, "records": []}')
-        with pytest.raises(InvalidParameterError):
-            load_campaign(path)
+    def test_ignores_engine_and_run_key(self):
+        row = make_row()
+        assert cell_key(dict(row, engine="vector", run_key="abc")) == cell_key(row)
 
 
 class TestComparison:
-    def _baseline(self, tmp_path, records):
-        path = tmp_path / "b.json"
-        save_campaign(records, path)
-        return load_campaign(path)
+    def test_identical_runs_clean(self):
+        assert compare_campaigns([make_row()], [make_row()]) == []
 
-    def test_identical_runs_clean(self, tmp_path):
-        records = [make_record()]
-        baseline = self._baseline(tmp_path, records)
-        assert compare_campaigns(baseline, records) == []
-
-    def test_color_regression_flagged(self, tmp_path):
-        baseline = self._baseline(tmp_path, [make_record(colors=10)])
-        regressions = compare_campaigns(baseline, [make_record(colors=12)])
+    def test_color_regression_flagged(self):
+        regressions = compare_campaigns([make_row(colors=10)], [make_row(colors=12)])
         assert any(r.field == "colors_used" for r in regressions)
 
-    def test_color_slack_suppresses(self, tmp_path):
-        baseline = self._baseline(tmp_path, [make_record(colors=10)])
-        assert compare_campaigns(baseline, [make_record(colors=12)], color_slack=2) == []
+    def test_color_slack_suppresses(self):
+        assert compare_campaigns(
+            [make_row(colors=10)], [make_row(colors=12)], color_slack=2
+        ) == []
 
-    def test_round_regression_flagged(self, tmp_path):
-        baseline = self._baseline(tmp_path, [make_record(rounds=20.0)])
-        regressions = compare_campaigns(baseline, [make_record(rounds=40.0)])
+    def test_round_regression_flagged(self):
+        regressions = compare_campaigns([make_row(rounds=20.0)], [make_row(rounds=40.0)])
         assert any(r.field == "rounds_actual" for r in regressions)
 
-    def test_round_slack_tolerates_jitter(self, tmp_path):
-        baseline = self._baseline(tmp_path, [make_record(rounds=20.0)])
-        assert compare_campaigns(baseline, [make_record(rounds=24.0)]) == []
+    def test_round_slack_tolerates_jitter(self):
+        assert compare_campaigns([make_row(rounds=20.0)], [make_row(rounds=24.0)]) == []
 
-    def test_bound_violation_flagged(self, tmp_path):
-        baseline = self._baseline(tmp_path, [make_record(colors=10, bound=16)])
-        broken = [make_record(colors=17, bound=16)]
-        regressions = compare_campaigns(baseline, broken, color_slack=100)
-        assert any(r.field == "within_bound" for r in regressions)
+    def test_lost_verdict_flagged(self):
+        regressions = compare_campaigns(
+            [make_row()], [make_row(verdict="fail")], color_slack=100
+        )
+        assert [(r.field, r.baseline, r.current) for r in regressions] == [
+            ("verdict", "ok", "fail")
+        ]
 
-    def test_new_row_flagged_as_missing(self, tmp_path):
-        baseline = self._baseline(tmp_path, [make_record()])
-        extra = [make_record(), make_record(experiment="brand-new")]
-        regressions = compare_campaigns(baseline, extra)
+    def test_errored_row_flagged(self):
+        broken = dict(make_row(colors=None, rounds=None, verdict=None), error="boom")
+        regressions = compare_campaigns([make_row()], [broken])
+        assert [r.field for r in regressions] == ["verdict"]
+
+    def test_new_row_flagged_as_missing(self):
+        current = [make_row(), make_row(algorithm="brand-new")]
+        regressions = compare_campaigns([make_row()], current)
         assert any(r.field == "missing-from-baseline" for r in regressions)
+
+    def test_extra_baseline_rows_ignored(self):
+        baseline = [make_row(), make_row(algorithm="retired")]
+        assert compare_campaigns(baseline, [make_row()]) == []

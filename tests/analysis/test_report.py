@@ -17,7 +17,7 @@ from repro.analysis.report import (
     render_markdown,
     write_report,
 )
-from repro.analysis.tables import cell_rows_markdown
+from repro.analysis.dataframes import cell_rows_markdown
 from repro.store import ExperimentStore, RunCache
 
 TIMESTAMP = "2026-01-01T00:00:00+00:00"

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ColoringError
 from repro.graphs import CliqueCover
-from repro.analysis import (
+from repro.verify.checkers import (
     max_star_size,
     verify_clique_decomposition,
     verify_edge_coloring,

@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_edge_coloring
+from repro.verify.checkers import verify_edge_coloring
 from repro.graphs import degeneracy, erdos_renyi, forest_union, max_degree
 from repro.local import RoundLedger
 from repro.baselines import forest_edge_coloring

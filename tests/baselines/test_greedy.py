@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_edge_coloring, verify_vertex_coloring
+from repro.verify.checkers import verify_edge_coloring, verify_vertex_coloring
 from repro.graphs import erdos_renyi, max_degree
 from repro.baselines import greedy_edge_coloring, greedy_vertex_coloring
 

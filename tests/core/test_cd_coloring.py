@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_vertex_coloring
+from repro.verify.checkers import verify_vertex_coloring
 from repro.errors import InvalidParameterError
 from repro.graphs import (
     CliqueCover,
@@ -140,7 +140,7 @@ class TestEdgeColoringViaLineGraph:
         base = random_regular(20, 8, seed=8)
         result = cd_edge_coloring(base, x=x)
         # result is a vertex coloring of the line graph == edge coloring
-        from repro.analysis import verify_edge_coloring
+        from repro.verify.checkers import verify_edge_coloring
 
         verify_edge_coloring(base, result.coloring, palette=result.target_colors)
         assert result.target_colors == 2 ** (x + 1) * 8
@@ -182,3 +182,38 @@ class TestPlumbing:
         r1 = cd_coloring(graph, cover, x=1)
         r2 = cd_coloring(graph, cover, x=1)
         assert r1.coloring == r2.coloring
+
+
+class TestCdVertexRegistryEntry:
+    """``cd-vertex``: Theorem 3.3(i) on a graph that carries its clique
+    cover as the ``cliques`` node attribute."""
+
+    def test_cover_round_trips_through_node_attributes(self):
+        from repro import workloads
+        from repro.core.cd_coloring import cover_from_node_attributes
+
+        graph = workloads.build("line-of-regular", {"n": 12, "d": 4}, seed=3)
+        _, cover = line_graph_with_cover(random_regular(12, 4, seed=3))
+        rebuilt = cover_from_node_attributes(graph)
+        assert rebuilt.cliques == cover.cliques
+        assert rebuilt.membership == cover.membership
+
+    def test_matches_cd_coloring_with_the_explicit_cover(self):
+        from repro import registry, workloads
+
+        hyper = random_uniform_hypergraph(n=12, num_edges=16, c=3, seed=5)
+        line, cover = hyper.line_graph_with_cover()
+        direct = cd_coloring(line, cover, x=2)
+        graph = workloads.build("hypergraph-line", {"n": 12, "edges": 16, "c": 3}, seed=5)
+        run = registry.run("cd-vertex", graph, x=2)
+        assert run.coloring == direct.coloring
+        assert (run.rounds_actual, run.rounds_modeled) == (
+            direct.rounds_actual, direct.rounds_modeled
+        )
+        assert run.extra["D"] == 3
+
+    def test_graph_without_cover_rejected(self):
+        from repro import registry
+
+        with pytest.raises(InvalidParameterError, match="'cliques' attribute"):
+            registry.run("cd-vertex", nx.path_graph(4))

@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.analysis import max_star_size, verify_edge_coloring
+from repro.verify.checkers import max_star_size, verify_edge_coloring
 from repro.errors import InvalidParameterError
 from repro.graphs import erdos_renyi, max_degree, random_regular
 from repro.local import RoundLedger

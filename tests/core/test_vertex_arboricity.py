@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_vertex_coloring
+from repro.verify.checkers import verify_vertex_coloring
 from repro.errors import InvalidParameterError
 from repro.graphs import (
     forest_union,

@@ -79,6 +79,7 @@ SMALL_PARAMS = {
     "geometric": {"n": 16, "radius": 0.35},
     "bipartite-regular": {"n_each": 8, "d": 3},
     "line-of-regular": {"n": 12, "d": 4},
+    "hypergraph-line": {"n": 12, "edges": 16, "c": 3},
     "planar-grid": {"rows": 4, "cols": 4},
     "triangular-grid": {"rows": 3, "cols": 4},
     "torus": {"rows": 4, "cols": 4},

@@ -56,10 +56,13 @@ PARITY_GRAPHS = tuple(sorted(_CORPUS))
 def small_graph(name: str) -> nx.Graph:
     return _CORPUS[name]()
 
-# Algorithms runnable on any plain graph. ``cole-vishkin`` (needs a forest)
-# and ``thm54`` (slow at this scale) get dedicated cases below.
+# Algorithms runnable on any plain graph. ``cole-vishkin`` (needs a forest),
+# ``cd-vertex`` (needs a graph carrying its clique cover) and ``thm54``
+# (slow at this scale) get dedicated cases below.
 GENERAL_ALGORITHMS = [
-    name for name in registry.names() if name not in ("cole-vishkin", "thm54")
+    name
+    for name in registry.names()
+    if name not in ("cole-vishkin", "cd-vertex", "thm54")
 ]
 
 
@@ -87,6 +90,20 @@ class TestRegistryParity:
     def test_cole_vishkin_on_forest(self):
         forest = random_tree(24, seed=9)
         assert_same_run(*run_both("cole-vishkin", forest))
+
+    @pytest.mark.parametrize(
+        "workload,params",
+        [
+            ("line-of-regular", {"n": 12, "d": 4}),
+            ("hypergraph-line", {"n": 12, "edges": 16, "c": 3}),
+        ],
+    )
+    @pytest.mark.parametrize("x", (1, 2))
+    def test_cd_vertex_on_cover_carrying_graphs(self, workload, params, x):
+        from repro import workloads
+
+        graph = workloads.build(workload, params, seed=2)
+        assert_same_run(*run_both("cd-vertex", graph, x=x))
 
     def test_thm54_recursive(self):
         graph = small_graph("regular-24-6")

@@ -65,5 +65,5 @@ class TestRoundTripIsIdentity:
 
     def test_catalogue_is_complete(self):
         # the suite above covers every registered builtin workload
-        assert len(_NX_WORKLOADS) == 21
+        assert len(_NX_WORKLOADS) == 22
         assert set(_XL_WORKLOADS) == set(_XL_REDUCED)

@@ -31,6 +31,7 @@ SMALL_PARAMS = {
     "geometric": {"n": 16, "radius": 0.35},
     "bipartite-regular": {"n_each": 8, "d": 3},
     "line-of-regular": {"n": 12, "d": 4},
+    "hypergraph-line": {"n": 12, "edges": 16, "c": 3},
     "planar-grid": {"rows": 4, "cols": 4},
     "triangular-grid": {"rows": 3, "cols": 4},
     "torus": {"rows": 4, "cols": 4},
@@ -68,7 +69,7 @@ def assert_verified(graph, algorithm: str, params=None):
 
 
 class TestEveryWorkloadFamily:
-    """All 21 registered workloads (8 families) x reference algorithms."""
+    """Every registered workload (all families) x reference algorithms."""
 
     @pytest.mark.parametrize("workload", ALL_WORKLOADS)
     @pytest.mark.parametrize("seed", (0, 1))
@@ -90,6 +91,8 @@ class TestEveryWorkloadFamily:
 #: families for Section 5), plus parameters where depth matters.
 _SPECIAL_INSTANCES = {
     "cole-vishkin": [("random-tree", {})],
+    # cd-vertex colors graphs that carry their clique cover
+    "cd-vertex": [("line-of-regular", {"x": 1}), ("hypergraph-line", {"x": 2})],
     "thm54": [("star-forest-stack", {"x": 2, "arboricity": 2})],
     "star": [("random-regular", {"x": 1}), ("random-regular", {"x": 2})],
 }

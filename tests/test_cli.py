@@ -114,7 +114,7 @@ class TestKernelsCommand:
         assert main(["kernels", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "linial" in payload["kernels"]
-        assert len(payload["compact_ok"]) == 21
+        assert len(payload["compact_ok"]) == 22
         assert payload["compact_fallback"] == []
         assert isinstance(payload["numba_enabled"], bool)
 

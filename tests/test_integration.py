@@ -4,7 +4,7 @@ cross-algorithm consistency checks."""
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_edge_coloring, verify_vertex_coloring
+from repro.verify.checkers import verify_edge_coloring, verify_vertex_coloring
 from repro.baselines import (
     degree_splitting_edge_coloring,
     greedy_edge_coloring,

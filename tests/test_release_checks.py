@@ -1,62 +1,81 @@
-"""Release-level checks: CLI campaign flow, report sections, packaging
+"""Release-level checks: the CLI campaign run/check flow, packaging
 consistency, and cross-module documentation invariants."""
 
-import json
+import shutil
+import sqlite3
 
 import pytest
 
 import repro
-from repro.analysis.campaign import save_campaign
-from repro.analysis.metrics import ExperimentRecord
+from repro.analysis.campaign import CampaignCell
 from repro.cli import main
 
 
 class TestCampaignCli:
+    """``campaign run --store`` then ``campaign check --baseline`` over a
+    tiny stand-in for the paper grids."""
+
+    CELLS = [
+        CampaignCell("greedy", "random-regular", {"n": 16, "d": 4}, seed=1),
+        CampaignCell("star4", "random-regular", {"n": 16, "d": 4}, seed=1),
+    ]
+
     @pytest.fixture
-    def tiny_grid(self, monkeypatch):
-        records = [
-            ExperimentRecord(
-                experiment="t", workload="w", n=4, m=4, delta=2,
-                params={"x": 1}, colors_used=3, colors_bound=8, rounds_actual=5.0,
-            )
-        ]
-        monkeypatch.setattr(
-            "repro.analysis.campaign.default_grid", lambda: records
+    def baseline(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("repro.analysis.campaign.paper_cells", lambda: self.CELLS)
+        path = tmp_path / "baseline.db"
+        assert main(["campaign", "run", "--store", str(path), "--jobs", "1"]) == 0
+        return path
+
+    def _check(self, baseline, *extra):
+        return main(["campaign", "check", "--baseline", str(baseline), "--jobs", "1", *extra])
+
+    def _planted(self, baseline, tmp_path, sql):
+        current = tmp_path / "current.db"
+        shutil.copy(baseline, current)
+        with sqlite3.connect(current) as conn:
+            conn.execute(sql)
+        return current
+
+    def test_run_then_check_clean(self, baseline, capsys):
+        assert self._check(baseline) == 0
+        assert "no regressions across 2 cells" in capsys.readouterr().out
+
+    def test_check_against_a_store_clean(self, baseline, tmp_path):
+        assert self._check(baseline, "--store", str(tmp_path / "current.db")) == 0
+
+    def test_check_flags_extra_color(self, baseline, tmp_path, capsys):
+        current = self._planted(
+            baseline, tmp_path,
+            "UPDATE runs SET colors_used = colors_used + 1 WHERE algorithm = 'star4'",
         )
-        return records
+        assert self._check(baseline, "--store", str(current)) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION star4|random-regular(d=4,n=16)|seed=1|: colors_used" in out
 
-    def test_run_then_check_clean(self, tiny_grid, tmp_path, capsys):
-        out = tmp_path / "c.json"
-        assert main(["campaign", "run", "--out", str(out)]) == 0
-        assert main(["campaign", "check", "--baseline", str(out)]) == 0
-        assert "no regressions" in capsys.readouterr().out
+    def test_check_flags_flipped_verdict(self, baseline, tmp_path, capsys):
+        current = self._planted(
+            baseline, tmp_path, "UPDATE runs SET verdict = 'fail' WHERE algorithm = 'greedy'"
+        )
+        assert self._check(baseline, "--store", str(current)) == 1
+        assert "greedy|random-regular(d=4,n=16)|seed=1|: verdict 'ok' -> 'fail'" in (
+            capsys.readouterr().out
+        )
 
-    def test_check_flags_regression(self, tiny_grid, tmp_path, capsys):
-        out = tmp_path / "c.json"
-        baseline = [
-            ExperimentRecord(
-                experiment="t", workload="w", n=4, m=4, delta=2,
-                params={"x": 1}, colors_used=1, colors_bound=8, rounds_actual=5.0,
-            )
-        ]
-        save_campaign(baseline, out)
-        assert main(["campaign", "check", "--baseline", str(out)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
+    def test_check_flags_missing_cell(self, baseline, capsys):
+        with sqlite3.connect(baseline) as conn:
+            conn.execute("DELETE FROM runs WHERE algorithm = 'greedy'")
+        assert self._check(baseline) == 1
+        assert "missing-from-baseline" in capsys.readouterr().out
 
-    def test_run_requires_out(self, tiny_grid):
+    def test_run_requires_store(self, monkeypatch):
+        monkeypatch.setattr("repro.analysis.campaign.paper_cells", lambda: self.CELLS)
         with pytest.raises(SystemExit):
             main(["campaign", "run"])
 
-
-class TestReportSections:
-    def test_scaling_section_matches_paper_exponents(self):
-        from repro.analysis.experiments import _scaling_section
-
-        section = _scaling_section()
-        # the fitted exponents are printed next to the paper's values; for
-        # the closed-form models they must agree to three decimals
-        assert "| 1 | 0.250 | 0.250 | 0.333 | 0.333 |" in section
-        assert "| 3 | 0.125 | 0.125 | 0.200 | 0.200 |" in section
+    def test_check_requires_existing_baseline(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["campaign", "check", "--baseline", str(tmp_path / "none.db")])
 
 
 import pathlib

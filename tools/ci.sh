@@ -66,6 +66,17 @@ python -m repro query --store "$SMOKE_DIR/clean.db" --format json --out "$SMOKE_
 cmp "$SMOKE_DIR/killed.json" "$SMOKE_DIR/clean.json"
 echo "resumed campaign is byte-identical to an uninterrupted run"
 
+echo "== tables smoke: paper grids stored, checked clean, printed deterministically =="
+# The paper's tables are campaign cells: storing them and checking the
+# same tree against that store must find no regression, and two runs of
+# `repro tables` must print byte-identical markdown.
+python -m repro campaign run --store "$SMOKE_DIR/tables.db" --jobs 2 | tail -1
+python -m repro campaign check --baseline "$SMOKE_DIR/tables.db" --jobs 2
+python -m repro tables > "$SMOKE_DIR/tables_a.md"
+python -m repro tables > "$SMOKE_DIR/tables_b.md"
+cmp "$SMOKE_DIR/tables_a.md" "$SMOKE_DIR/tables_b.md"
+echo "tables smoke: check clean against its own store; tables byte-identical"
+
 echo "== streaming smoke: out-of-order durability under SIGKILL =="
 # A --jobs 4 --store campaign whose deliberately slow HEAD cell (it blocks
 # while a flag file exists) pins one worker while every other cell
