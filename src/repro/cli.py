@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``info --graph FILE`` — structural parameters (n, m, Delta, arboricity
-  bounds, degeneracy) of an edge-list graph.
+  bounds, degeneracy) of an edge-list or ``.csrg`` graph; ``.csrg``
+  files are measured in CSR form, without a networkx copy.
 * ``algorithms`` — the unified algorithm registry: every runnable
   algorithm with its family, kind, color bound and parameters
   (compact-capable algorithms carry a ``[compact]`` marker).
@@ -109,9 +110,6 @@ def _read_graph_file(path: str):
 
 def cmd_info(args: argparse.Namespace) -> int:
     graph = _read_graph_file(args.graph)
-    if hasattr(graph, "to_networkx"):
-        # the structural-parameter helpers below need the nx surface
-        graph = graph.to_networkx()
     bounds = arboricity_bounds(graph)
     print(f"n          = {graph.number_of_nodes()}")
     print(f"m          = {graph.number_of_edges()}")
@@ -1179,7 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     info = sub.add_parser("info", help="structural parameters of a graph")
-    info.add_argument("--graph", required=True, help="edge-list file")
+    info.add_argument("--graph", required=True, help="edge-list or .csrg file")
     info.set_defaults(func=cmd_info)
 
     algorithms = sub.add_parser(

@@ -2,19 +2,26 @@
 
 Exact arboricity is a matroid-union computation; for the sizes this library
 targets we provide the standard sandwich
-``ceil(m / (n - 1)) <= a(G) <= degeneracy(G)`` (the upper bound because a
-k-degenerate graph decomposes into k forests via the elimination order, and
-degeneracy <= 2a - 1 always), plus an exact Nash-Williams density evaluation
-over a useful family of candidate subgraphs for small graphs.
+``ceil(m_H / (n_H - 1)) <= a(G) <= degeneracy(G)`` (the upper bound because
+a k-degenerate graph decomposes into k forests via the elimination order,
+and degeneracy <= 2a - 1 always), with the Nash-Williams density lower
+bound evaluated on the whole graph and on every k-core.
+
+Every arboricity quantity comes from one O(n + m) core-number pass
+(Batagelj-Zaversnik; vectorized over CSR arrays for compact graphs): the
+degeneracy is the largest core number, and bucketing nodes by core number
+and edges by the smaller core number of their endpoints gives the size of
+every k-core at once as suffix sums.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.types import NodeId
@@ -29,52 +36,67 @@ def degeneracy_ordering(graph: nx.Graph) -> Tuple[List[NodeId], int]:
     """Smallest-last vertex ordering and the graph's degeneracy.
 
     Returns ``(order, k)`` where each vertex has at most ``k`` neighbors
-    later in ``order``.
+    later in ``order``. The greedy rule repeatedly removes a vertex of
+    minimum current degree, ties broken by ``repr`` and then by position
+    in ``graph.nodes()``; the order is therefore fully determined by the
+    graph whenever node reprs are distinct (true of every builtin
+    workload). A lazy-deletion heap keyed ``(current degree, repr,
+    position)`` makes this O(m log n).
     """
-    remaining = {v: set(graph.neighbors(v)) for v in graph.nodes()}
-    order: List[NodeId] = []
-    degeneracy = 0
-    # bucket queue over current degrees
-    buckets: Dict[int, set] = {}
-    degree_of: Dict[NodeId, int] = {}
-    for v, nbrs in remaining.items():
-        d = len(nbrs)
-        degree_of[v] = d
-        buckets.setdefault(d, set()).add(v)
+    adjacency = {v: list(graph.neighbors(v)) for v in graph.nodes()}
+    key = {v: (repr(v), i) for i, v in enumerate(adjacency)}
+    degree = {v: len(nbrs) for v, nbrs in adjacency.items()}
+    heap = [(degree[v], key[v], v) for v in adjacency]
+    heapq.heapify(heap)
     removed = set()
-    for _ in range(len(remaining)):
-        d = 0
-        while not buckets.get(d):
-            d += 1
-        v = min(buckets[d], key=repr)
-        buckets[d].discard(v)
-        degeneracy = max(degeneracy, d)
+    order: List[NodeId] = []
+    k = 0
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if v in removed or d != degree[v]:
+            continue  # stale entry: v was removed or its degree dropped
+        k = max(k, d)
         order.append(v)
         removed.add(v)
-        for u in remaining[v]:
-            if u in removed:
-                continue
-            du = degree_of[u]
-            buckets[du].discard(u)
-            degree_of[u] = du - 1
-            buckets.setdefault(du - 1, set()).add(u)
-    return order, degeneracy
+        for u in adjacency[v]:
+            if u not in removed:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], key[u], u))
+    return order, k
 
 
-def degeneracy(graph: nx.Graph) -> int:
-    return degeneracy_ordering(graph)[1]
+def _core_numbers(graph: nx.Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """Core numbers of every node and of every edge, in one O(n + m) pass.
 
-
-def _core_numbers(graph: nx.Graph) -> Dict[NodeId, int]:
-    """Per-node core numbers. ``nx.core_number`` needs a networkx graph;
-    CSR inputs use the vectorized peel (core numbers are a graph invariant,
-    so the two agree exactly)."""
+    An edge's core number is the smaller of its endpoints' — the largest
+    ``k`` whose k-core contains it — so the k-core has
+    ``(node_cores >= k).sum()`` nodes and ``(edge_cores >= k).sum()``
+    edges. ``nx.core_number`` serves networkx graphs; CSR inputs use the
+    vectorized peel (core numbers are a graph invariant, so the two agree
+    exactly).
+    """
     if hasattr(graph, "indptr") and hasattr(graph, "indices"):
         from repro.kernels.cores import core_numbers_csr
 
-        cores = core_numbers_csr(graph.indptr, graph.indices)
-        return {v: int(c) for v, c in enumerate(cores)}
-    return nx.core_number(graph)
+        node_cores = core_numbers_csr(graph.indptr, graph.indices)
+        src = np.repeat(np.arange(node_cores.size), np.diff(graph.indptr))
+        dst = graph.indices
+        once = src < dst  # each undirected edge appears in both rows
+        return node_cores, np.minimum(node_cores[src[once]], node_cores[dst[once]])
+    core = nx.core_number(graph)
+    node_cores = np.fromiter(core.values(), dtype=np.int64, count=len(core))
+    edge_cores = np.fromiter(
+        (min(core[u], core[v]) for u, v in graph.edges()),
+        dtype=np.int64,
+        count=graph.number_of_edges(),
+    )
+    return node_cores, edge_cores
+
+
+def degeneracy(graph: nx.Graph) -> int:
+    """The largest core number; 0 for a graph without edges."""
+    node_cores, _ = _core_numbers(graph)
+    return int(node_cores.max()) if node_cores.size else 0
 
 
 @dataclass(frozen=True)
@@ -93,24 +115,29 @@ def arboricity_bounds(graph: nx.Graph) -> ArboricityBounds:
     """The Nash-Williams density lower bound and the degeneracy upper bound.
 
     ``a(G) = max_H ceil(m_H / (n_H - 1))``; evaluating the density on the
-    whole graph and on every core (k-core for k up to the degeneracy) gives a
+    whole graph and on every k-core (2 <= k <= degeneracy) gives a
     practical lower bound, while the degeneracy elimination order explicitly
     decomposes the edges into ``degeneracy`` forests, an upper bound.
+
+    One core-number pass yields everything: the degeneracy is the largest
+    core number, and suffix sums of the node and edge counts per core
+    number give every k-core's ``(n_k, m_k)`` without building a subgraph,
+    so the whole evaluation is O(n + m).
     """
     n = graph.number_of_nodes()
     m = graph.number_of_edges()
     if n <= 1 or m == 0:
         return ArboricityBounds(lower=0 if m == 0 else 1, upper=0 if m == 0 else 1)
-    lower = math.ceil(m / (n - 1))
-    upper = max(1, degeneracy(graph))
-    core_numbers = _core_numbers(graph)
+    node_cores, edge_cores = _core_numbers(graph)
+    upper = max(1, int(node_cores.max()))
+    # n_k[k] / m_k[k]: nodes / edges of the k-core (core number >= k)
+    n_k = np.cumsum(np.bincount(node_cores, minlength=upper + 1)[::-1])[::-1]
+    m_k = np.cumsum(np.bincount(edge_cores, minlength=upper + 1)[::-1])[::-1]
+    lower = -(-m // (n - 1))
     for k in range(2, upper + 1):
-        core_nodes = [v for v, c in core_numbers.items() if c >= k]
-        if len(core_nodes) > 1:
-            sub = graph.subgraph(core_nodes)
-            ms, ns = sub.number_of_edges(), sub.number_of_nodes()
-            if ns > 1 and ms > 0:
-                lower = max(lower, math.ceil(ms / (ns - 1)))
+        ns, ms = int(n_k[k]), int(m_k[k])
+        if ns > 1 and ms > 0:
+            lower = max(lower, -(-ms // (ns - 1)))
     lower = min(lower, upper)
     return ArboricityBounds(lower=lower, upper=upper)
 

@@ -66,6 +66,33 @@ class TestGraphInfo:
             main(["graph", "info"])
 
 
+
+class TestStructuralInfo:
+    def test_csrg_matches_its_edge_list_twin(self, tmp_path, capsys, monkeypatch):
+        # ``info`` measures a .csrg in CSR form; the parameters are graph
+        # invariants, so the edge-list twin must print the same lines.
+        from repro.graphcore import CompactGraph
+
+        csrg = tmp_path / "fs.csrg"
+        twin = tmp_path / "fs.txt"
+        assert main(["graph", "build", "--workload", "star-forest-stack",
+                     "--workload-param", "n_centers=5",
+                     "--workload-param", "leaves_per_center=30",
+                     "--out", str(csrg)]) == 0
+        assert main(["graph", "convert", "--in", str(csrg), "--out", str(twin)]) == 0
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(CompactGraph, "to_networkx", None)  # no nx copy
+            assert main(["info", "--graph", str(csrg)]) == 0
+        from_csrg = capsys.readouterr().out
+        assert main(["info", "--graph", str(twin)]) == 0
+        from_twin = capsys.readouterr().out
+        assert from_csrg == from_twin
+        for line in ("n          = 155", "m          = ", "Delta      = ",
+                     "degeneracy = 2", "arboricity in [2, 2]"):
+            assert line in from_csrg
+
+
 class TestGraphConvert:
     def test_csrg_edgelist_round_trip_preserves_digest(self, csrg, tmp_path, capsys):
         txt = tmp_path / "g.txt"

@@ -7,6 +7,7 @@ Everything stays under a couple of seconds per test.
 """
 
 import math
+import time
 
 import pytest
 
@@ -16,7 +17,10 @@ from repro.core import (
     four_delta_edge_coloring,
     star_partition_edge_coloring,
 )
+from repro import workloads
 from repro.graphs import (
+    arboricity_bounds,
+    degeneracy_ordering,
     erdos_renyi,
     forest_union,
     max_degree,
@@ -93,3 +97,32 @@ class TestSubstratesAtScale:
         delta = max_degree(graph)
         coloring = ColoringOracle().vertex_coloring(graph)
         verify_vertex_coloring(graph, coloring, palette=delta + 1)
+
+
+class TestArboricityAtScale:
+    """Guards against a quadratic arboricity derivation: a per-pop scan of
+    a degree bucket needs ~2 s at 5k star-forest nodes and ~16x that at
+    20k; the one-pass derivation takes milliseconds (CSR) and a few tenths
+    of a second (the heap ordering)."""
+
+    BUDGET_S = 2.0
+
+    def test_bounds_on_20k_node_compact_forest_stack(self):
+        graph = workloads.build(
+            "xl-forest-stack", {"n_centers": 160, "leaves_per_center": 124, "a": 2}, seed=0
+        )
+        assert graph.number_of_nodes() == 20_000
+        start = time.perf_counter()
+        bounds = arboricity_bounds(graph)
+        elapsed = time.perf_counter() - start
+        assert bounds.upper == 2
+        assert elapsed < self.BUDGET_S, f"arboricity_bounds took {elapsed:.2f} s"
+
+    def test_ordering_on_20k_node_star_forest_stack(self):
+        graph = star_forest_stack(160, 124, 2, seed=0)
+        assert graph.number_of_nodes() == 20_000
+        start = time.perf_counter()
+        order, k = degeneracy_ordering(graph)
+        elapsed = time.perf_counter() - start
+        assert len(order) == 20_000 and k == 2
+        assert elapsed < self.BUDGET_S, f"degeneracy_ordering took {elapsed:.2f} s"

@@ -25,7 +25,6 @@ python -m repro check
 echo "== tier-1 pytest =="
 python -m pytest -x -q "$@"
 
-echo "== store smoke: run, kill, resume, compare =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
@@ -47,6 +46,8 @@ if ! grep -q "substrates/linial.py:$PLANT_LINE: det-unseeded-rng" "$SMOKE_DIR/pl
   cat "$SMOKE_DIR/planted.out"; exit 1
 fi
 echo "check smoke: planted violation caught at substrates/linial.py:$PLANT_LINE"
+
+echo "== store smoke: run, kill, resume, compare =="
 SMOKE_GRID=(--algorithms star4,star,thm52,forest,greedy
             --workloads random-regular,star-forest-stack
             --seeds 0,1,2 --jobs 2)
