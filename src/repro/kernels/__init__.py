@@ -21,12 +21,19 @@ Contract (the reason kernels may exist at all):
 * **Decline, don't approximate.** A kernel that cannot reproduce the
   per-node semantics for a given input (exotic extras, inputs that would
   raise mid-run in node order, palettes outside its vectorized range)
-  raises :class:`KernelUnsupported`; the engine silently falls back to
-  the per-node path, which remains the semantic authority.
+  raises :class:`KernelUnsupported`; the engine falls back to the
+  per-node path, which remains the semantic authority, and discloses
+  the decline and its reason through the ``kernel.fallback`` counter.
 * **Engines opt in.** Only :class:`~repro.engine.vector.VectorEngine`
   consults this registry (and only for crash-free, untraced,
   bandwidth-untracked runs). The reference engine never does — it *is*
   the baseline kernels are measured against.
+
+The round-synchronous kernels (``linial``, ``defective-refinement``,
+``h-partition``) are :class:`~repro.kernels.program.ShardProgram`
+objects: calling one runs the one-shard case in process, and
+:mod:`repro.shard` runs the same object shard by shard
+(:func:`get_program`).
 
 Kernels are registered per :class:`~repro.local.algorithm.NodeAlgorithm`
 ``name`` and resolved lazily (:func:`get_kernel` imports the backing
@@ -49,7 +56,9 @@ from repro.kernels.backend import numba_available, numba_enabled
 __all__ = [
     "KernelUnsupported",
     "get_kernel",
+    "get_program",
     "kernel_names",
+    "program_names",
     "register_kernel",
     "numba_available",
     "numba_enabled",
@@ -58,7 +67,7 @@ __all__ = [
 
 class KernelUnsupported(Exception):
     """A kernel declined this input; the caller must fall back to the
-    per-node scheduler. Never escapes the engine layer."""
+    per-node scheduler. Never escapes the engine or sharding layer."""
 
 
 #: algorithm name -> module that registers its kernel on import.
@@ -82,12 +91,9 @@ def register_kernel(name: str, kernel: Callable[..., Any]) -> Callable[..., Any]
     return kernel
 
 
-def get_kernel(name: Optional[str]) -> Optional[Callable[..., Any]]:
-    """The kernel registered for algorithm ``name``, or None.
-
-    Lazily imports the backing module the first time a name is asked for,
-    so kernel registration never burdens interpreter startup.
-    """
+def _resolve(name: Any) -> Optional[Callable[..., Any]]:
+    # get_program reads the registry here, not through get_kernel, which
+    # instrumentation may wrap.
     if not isinstance(name, str):
         return None
     kernel = _KERNELS.get(name)
@@ -97,6 +103,24 @@ def get_kernel(name: Optional[str]) -> Optional[Callable[..., Any]]:
     return kernel
 
 
+def get_kernel(name: Optional[str]) -> Optional[Callable[..., Any]]:
+    """The kernel registered for algorithm ``name``, or None.
+
+    Lazily imports the backing module the first time a name is asked for,
+    so kernel registration never burdens interpreter startup.
+    """
+    return _resolve(name)
+
+
+def get_program(name: Optional[str]) -> Optional[Any]:
+    """The registered kernel for algorithm ``name`` if it is a round
+    program (so it also runs shard by shard), else None."""
+    from repro.kernels.program import ShardProgram
+
+    kernel = _resolve(name)
+    return kernel if isinstance(kernel, ShardProgram) else None
+
+
 def kernel_names() -> list:
     """Sorted names of all algorithms with a registered kernel (forces
     the lazy imports — this is the introspection surface, not the hot
@@ -104,3 +128,8 @@ def kernel_names() -> list:
     for module in sorted(set(_KERNEL_MODULES.values())):
         importlib.import_module(module)
     return sorted(_KERNELS)
+
+
+def program_names() -> list:
+    """Sorted names of the kernels that are round programs."""
+    return [name for name in kernel_names() if get_program(name) is not None]

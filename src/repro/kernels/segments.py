@@ -5,7 +5,7 @@ Everything here is pure numpy over the ``indptr``/``indices`` arrays of a
 conventions every kernel leans on:
 
 * **Directed-edge view.** ``edge_endpoints`` expands the CSR arrays into
-  parallel ``src``/``dst`` arrays of all ``2m`` directed edges — the
+  parallel ``src``/``dst`` arrays of the directed edges — the
   natural shape for "gather neighbor state" (``state[dst]``) and
   "scatter per-node aggregates" (``np.bincount(src, ...)``).
 * **Strict input coercion.** ``dense_int_table`` converts the per-node
@@ -27,14 +27,13 @@ import numpy as np
 from repro.kernels import KernelUnsupported
 
 
-def edge_endpoints(graph: Any) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``2m`` directed edges as ``(src, dst)`` int64 arrays, in CSR
-    row order (the order the engines drain outboxes in)."""
-    src = np.repeat(
-        np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr)
-    )
-    dst = graph.indices.astype(np.int64, copy=False)
-    return src, dst
+def edge_endpoints(csr: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """The directed edges of every row of ``csr`` (a graph, or a shard's
+    owned rows) as ``(src, dst)`` int64 arrays, in CSR row order (the
+    order the engines drain outboxes in)."""
+    indptr = np.asarray(csr.indptr)
+    src = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    return src, np.asarray(csr.indices, dtype=np.int64)
 
 
 def dense_int_table(table: Any, n: int) -> np.ndarray:

@@ -3,46 +3,46 @@
 The LOCAL model's synchronous rounds make cross-shard communication a
 natural bulk-synchronous exchange: partition the node ids into
 contiguous ranges, give every shard its own CSR slice plus a
-halo/boundary sideband, run the whole-round kernels (PR 6) locally per
-shard, and merge neighbor state across shards once per round through a
-coordinator. The result is bit-identical to the unsharded engines —
-every program in :mod:`repro.shard.programs` reproduces the exact
-per-node semantics — while each worker only ever touches its own
-memory-mapped slice, so peak per-process RSS is bounded by the shard
+halo/boundary sideband, run each round of the algorithm's round program
+locally per shard, and merge neighbor state across shards once per
+round through a coordinator. The programs are the kernels themselves
+(:mod:`repro.kernels.program`): an unsharded kernel run is their
+one-shard case, so a sharded result is bit-identical to the unsharded
+engines by construction, while each worker only ever touches its own
+memory-mapped slice — peak per-process RSS is bounded by the shard
 size, not the graph size.
 
 Layering:
 
+* :mod:`repro.kernels.program` (below this package) — the
+  :class:`~repro.kernels.program.Shard` slice and the round-program
+  protocol; :mod:`repro.kernels.linial` and :mod:`repro.kernels.peeling`
+  define the programs, found through :func:`~repro.kernels.get_program`.
 * :mod:`repro.shard.partition` — the contiguous id-range partitioner,
   the ``.csrs`` shard file format (strictly size-validated at open, like
   ``.csrg``), the bundle manifest, and :class:`ShardBundle`.
-* :mod:`repro.shard.programs` — per-algorithm round programs: the
-  coordinator half (planning, global reductions, closed-form round and
-  message accounting) and the worker half (one numpy pass per round over
-  the local CSR arrays, reusing the PR 6 kernel helpers).
 * :mod:`repro.shard.runtime` — the BSP coordinator, the persistent
   per-shard worker pool (processes or inline), checkpoint/resume, and
   the :func:`sharding` scope that
   :func:`~repro.local.network.run_on_graph` consults.
 
-Algorithms without a registered program (centralized baselines, runs on
-graphs other than the partitioned parent) transparently fall through to
-the normal engine path; every such fallthrough is disclosed through the
-``shard.fallback`` counter, so a campaign can never silently claim
-sharded execution it did not get.
+Algorithms without a round program (centralized baselines, runs on
+graphs other than the partitioned parent, inputs a program declines)
+transparently fall through to the normal engine path; every such
+fallthrough is disclosed through the ``shard.fallback`` counter, so a
+campaign can never silently claim sharded execution it did not get.
 """
 
+from repro.kernels import get_program, program_names
 from repro.shard.partition import (
     ShardBundle,
     load_shard,
     partition,
 )
-from repro.shard.programs import ShardFallback, get_program, program_names
 from repro.shard.runtime import ShardingScope, sharding
 
 __all__ = [
     "ShardBundle",
-    "ShardFallback",
     "ShardingScope",
     "get_program",
     "load_shard",

@@ -30,6 +30,9 @@ Binary layout (version 1, little-endian)::
     ..  halo       n_halo * 8
     ..  boundary   n_boundary * 8
 
+An opened file is a :class:`~repro.kernels.program.Shard`, the local
+CSR slice every round program runs on.
+
 Like ``.csrg``, opens are strict: the file size must equal the header's
 promised extents exactly, and the arrays pass light structural
 validation even when memory-mapped, so a truncated or mis-written shard
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
@@ -48,6 +50,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.graphcore import CompactGraph
+from repro.kernels.program import Shard
 
 PathLike = Union[str, Path]
 
@@ -62,34 +65,6 @@ MANIFEST_FORMAT = "repro-shard-bundle"
 
 def _shard_filename(shard_id: int) -> str:
     return f"shard-{shard_id:04d}.csrs"
-
-
-@dataclass
-class Shard:
-    """One memory-mapped shard: the local CSR slice plus its sidebands."""
-
-    shard_id: int
-    num_shards: int
-    lo: int
-    n_own: int
-    n_halo: int
-    parent_digest: str
-    indptr: np.ndarray
-    indices: np.ndarray
-    halo: np.ndarray
-    boundary: np.ndarray
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.n_own
-
-    @property
-    def n_local(self) -> int:
-        return self.n_own + self.n_halo
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
 
 def _range_cuts(indptr: np.ndarray, n: int, num_shards: int) -> List[int]:

@@ -1,6 +1,7 @@
 """The sharded runtime: process-pool execution, checkpoint/resume (and
 the SIGKILL-mid-run drill), scope guards, and stats disclosure."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from repro import workloads
+from repro import obs, workloads
 from repro.errors import InvalidParameterError, RoundLimitExceeded
 from repro.local.network import run_on_graph
 from repro.shard import partition, sharding
+from repro.substrates.defective import DefectiveRefinementAlgorithm
 from repro.substrates.hpartition import _Peeler
 from repro.substrates.linial import LinialAlgorithm
 
@@ -30,7 +32,7 @@ def _linial_extras(graph):
 
 
 class TestProcessPool:
-    """Inline parity is covered exhaustively in test_parity; these pin
+    """Inline parity is covered exhaustively in test_shard_parity; these pin
     down the real process pool: persistent workers, isolated RSS."""
 
     def test_process_pool_matches_inline(self, grid, tmp_path):
@@ -58,27 +60,64 @@ class TestProcessPool:
             assert scope._pool is pool  # same worker processes, re-inited
         assert first.rounds > 0 and second.rounds > 0
 
-    def test_authentic_errors_cross_the_scope(self, grid, tmp_path):
-        # RoundLimitExceeded must surface as itself, not as a pool error
-        bundle = partition(grid, 3, tmp_path / "bundle")
-        plain = pytest.raises(
-            RoundLimitExceeded,
-            run_on_graph,
-            grid,
-            _Peeler(),
-            extras={"threshold": 0},
-            engine="vector",
-        )
-        with sharding(grid, bundle, inline=True):
-            sharded = pytest.raises(
-                RoundLimitExceeded,
-                run_on_graph,
-                grid,
+    @pytest.mark.parametrize("path", ["reference", "vector", 1, 3])
+    @pytest.mark.parametrize(
+        "algorithm,extras,max_rounds,message",
+        [
+            (
+                LinialAlgorithm(),
+                {"m0": 10**6},
+                1,
+                "algorithm did not halt within 1 rounds (630 nodes still running)",
+            ),
+            (
+                DefectiveRefinementAlgorithm(),
+                {"q": 11, "d": 3},
+                0,
+                "algorithm did not halt within 0 rounds (630 nodes still running)",
+            ),
+            (
                 _Peeler(),
-                extras={"threshold": 0},
-                engine="vector",
-            )
-        assert str(sharded.value) == str(plain.value)
+                {"threshold": 2},
+                1,
+                "algorithm did not halt within 1 rounds (618 nodes still running)",
+            ),
+            (
+                _Peeler(),
+                {"threshold": 0},
+                50,
+                "algorithm did not halt within 50 rounds (630 nodes still running)",
+            ),
+        ],
+        ids=["linial", "defective-refinement", "peeler", "peeler-stalled"],
+    )
+    def test_authentic_errors_cross_the_scope(
+        self, grid, tmp_path, algorithm, extras, max_rounds, message, path
+    ):
+        # The round limit surfaces as itself — same message on the
+        # per-node scheduler, the kernel, and any shard count — never as
+        # a pool error or a disclosed fallback.
+        extras = dict(extras)
+        if not isinstance(algorithm, _Peeler):
+            extras["initial_coloring"] = {v: v for v in range(grid.n)}
+        engine = path if isinstance(path, str) else "vector"
+        with obs.collect() as runtime:
+            with contextlib.ExitStack() as stack:
+                if not isinstance(path, str):
+                    bundle = partition(grid, path, tmp_path / "bundle")
+                    stack.enter_context(sharding(grid, bundle, inline=True))
+                with pytest.raises(RoundLimitExceeded) as caught:
+                    run_on_graph(
+                        grid,
+                        algorithm,
+                        extras=extras,
+                        max_rounds=max_rounds,
+                        engine=engine,
+                    )
+        assert type(caught.value) is RoundLimitExceeded
+        assert str(caught.value) == message
+        counters = runtime.snapshot()["counters"]
+        assert not any("fallback" in key for key in counters)
 
 
 class TestScopeGuards:

@@ -12,10 +12,10 @@ would be vacuously satisfied by a scope that always falls back)."""
 import numpy as np
 import pytest
 
-from repro import obs, registry, workloads
+from repro import kernels, obs, registry, workloads
 from repro.graphcore import CompactGraph
 from repro.local.network import run_on_graph
-from repro.shard import partition, program_names, sharding
+from repro.shard import get_program, partition, program_names, sharding
 from repro.substrates.defective import DefectiveRefinementAlgorithm
 from repro.substrates.hpartition import _Peeler
 from repro.substrates.linial import LinialAlgorithm
@@ -70,6 +70,9 @@ class TestProgramsActuallyDispatch:
             "h-partition",
             "linial",
         ]
+        # one definition: the sharded program *is* the registered kernel
+        for name in program_names():
+            assert kernels.get_kernel(name) is get_program(name)
 
     @pytest.mark.parametrize(
         "algorithm,make_extras",
@@ -156,29 +159,77 @@ class TestProgramsActuallyDispatch:
             for key in counters
         )
 
-    def test_declined_inputs_fall_back_disclosed(self, tmp_path):
-        # non-numeric threshold: the kernel declines it, so must the
-        # program — and the engine path must then produce its authentic
-        # outcome (here: the per-node TypeError), identically on both
-        # paths.
-        graph = workloads.build("xl-grid", {"rows": 5, "cols": 5}, seed=0)
-        with pytest.raises(TypeError) as plain:
-            run_on_graph(
-                graph, _Peeler(), extras={"threshold": "2"}, engine="vector"
-            )
-        with obs.collect() as runtime:
-            with _sharded_scope(graph, tmp_path):
-                with pytest.raises(TypeError) as sharded:
-                    run_on_graph(
-                        graph, _Peeler(), extras={"threshold": "2"},
-                        engine="vector",
-                    )
-        assert str(sharded.value) == str(plain.value)
+    @pytest.mark.parametrize(
+        "algorithm,make_extras,reason",
+        [
+            (_Peeler(), lambda g: {"threshold": "2"}, "non-numeric threshold"),
+            (
+                LinialAlgorithm(),
+                lambda g: {
+                    "initial_coloring": {v: v for v in range(g.n)},
+                    "m0": 1e4,
+                },
+                "expected a plain int extra",
+            ),
+            (
+                LinialAlgorithm(),
+                lambda g: {
+                    "initial_coloring": {v: v for v in range(g.n - 1)},
+                    "m0": g.n,
+                },
+                "per-node table is not a total dense map",
+            ),
+            (
+                DefectiveRefinementAlgorithm(),
+                lambda g: {
+                    "initial_coloring": {v: v for v in range(g.n)},
+                    "q": 11.0,
+                    "d": 3,
+                },
+                "expected a plain int extra",
+            ),
+        ],
+        ids=[
+            "peeler-str-threshold",
+            "linial-float-m0",
+            "linial-missing-color",
+            "defective-float-q",
+        ],
+    )
+    def test_declined_inputs_fall_back_disclosed(
+        self, algorithm, make_extras, reason, tmp_path
+    ):
+        # the program declines in ``plan``, so the scope must fall back
+        # to the engine path, which then produces its authentic outcome
+        # (a result, or the per-node error) identically on both paths.
+        graph = workloads.build("xl-grid", {"rows": 6, "cols": 6}, seed=0)
+        extras = make_extras(graph)
+
+        def run():
+            return run_on_graph(graph, algorithm, extras=extras, engine="vector")
+
+        try:
+            plain = run()
+        except Exception as exc:
+            with obs.collect() as runtime:
+                with _sharded_scope(graph, tmp_path):
+                    with pytest.raises(type(exc)) as caught:
+                        run()
+            assert str(caught.value) == str(exc)
+        else:
+            with obs.collect() as runtime:
+                with _sharded_scope(graph, tmp_path):
+                    sharded = run()
+            assert sharded.outputs == plain.outputs
+            assert sharded.rounds == plain.rounds
+            assert sharded.messages == plain.messages
+            assert sharded.round_messages == plain.round_messages
+            assert sharded.engine == plain.engine
         counters = runtime.snapshot()["counters"]
         assert any(
-            "shard.fallback" in key and "non-numeric threshold" in key
-            for key in counters
+            "shard.fallback" in key and reason in key for key in counters
         )
+        assert not any("shard.dispatch" in key for key in counters)
 
 
 class TestShardCountInsensitivity:

@@ -309,6 +309,25 @@ assert json.dumps(sharded, sort_keys=True) == json.dumps(plain, sort_keys=True),
     f"sharded run diverged from unsharded:\n{sharded}\n{plain}"
 print("sharded run byte-identical to unsharded; shard count disclosed")
 EOF
+# The same comparison for the H-partition peeler, the other round
+# program with exchange rounds. --arboricity 1 puts the peel threshold
+# below the grid's degree 4, so the peel takes several exchange rounds
+# (with the derived bound every node leaves at initialization).
+python -m repro run --graph "$SMOKE_DIR/g.csrg" --algorithm h-partition \
+  --arboricity 1 --engine vector --out "$SMOKE_DIR/hp_file.json" >/dev/null
+python -m repro run --graph "$SMOKE_DIR/g.csrg" --algorithm h-partition \
+  --arboricity 1 --engine vector --shards 4 --shard-dir "$SMOKE_DIR/g_shards" \
+  --out "$SMOKE_DIR/hp_sharded.json" > "$SMOKE_DIR/hp_sharded.out"
+grep -q "sharded: 4 shards (process pool)" "$SMOKE_DIR/hp_sharded.out"
+python - "$SMOKE_DIR/hp_sharded.json" "$SMOKE_DIR/hp_file.json" <<'EOF'
+import json, sys
+sharded, plain = (json.load(open(p))[0] for p in sys.argv[1:3])
+assert sharded.pop("shards") == 4, "sharded row must disclose its shard count"
+assert sharded.pop("shard_stats")["rounds_executed"] > 0
+assert json.dumps(sharded, sort_keys=True) == json.dumps(plain, sort_keys=True), \
+    f"sharded peel diverged from unsharded:\n{sharded}\n{plain}"
+print("sharded h-partition byte-identical to unsharded")
+EOF
 echo "shard smoke: partition/run/compare agree"
 
 # Bench list (opt-in: RUN_BENCH=1 tools/ci.sh). bench_stream gates the
