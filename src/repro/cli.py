@@ -158,7 +158,7 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         json.dump(payload, sys.stdout, indent=1)
         print()
         return 0
-    print("whole-round CSR kernels (VectorEngine, CompactGraph input):")
+    print("whole-round CSR kernels (VectorEngine, CompactGraph or networkx input):")
     for name in payload["kernels"]:
         print(f"  {name}")
     state = "enabled" if payload["numba_enabled"] else (

@@ -34,6 +34,15 @@ this conversion-skip at >= 2x on the scale family. Scheduling semantics
 are identical in both paths (same drain order, same step order), which
 the compact-parity suite enforces against the reference engine.
 
+Crash-free, untraced, bandwidth-untracked runs of an algorithm with a
+registered whole-run kernel (:mod:`repro.kernels`) skip the round loop
+on either input kind. A networkx graph reaches the kernel through the
+same interning the per-node path does: the interned adjacency becomes a
+``CompactGraph``, the kernel's declared node-keyed extras are relabeled
+to dense ids, and the outputs are mapped back to the original ids. Any
+decline falls through to the round loop and is counted under
+``kernel.fallback`` with its reason.
+
 Tracer runs are delegated to the reference engine: a tracer observes every
 per-node event, which forces the O(n) loop anyway. The delegation is
 announced with :class:`~repro.engine.base.EngineFallbackWarning` and the
@@ -49,6 +58,7 @@ import warnings
 from typing import Any, Dict, List, Optional
 
 import networkx as nx
+import numpy as np
 
 from repro import obs
 from repro.engine.base import Engine, EngineFallbackWarning, note_engine_run
@@ -112,54 +122,8 @@ class VectorEngine(Engine):
         if max_rounds is None:
             max_rounds = DEFAULT_MAX_ROUNDS
 
-        if (
-            isinstance(graph, CompactGraph)
-            and not crashes
-            and not track_bandwidth
-        ):
-            # ---- Kernel path: a registered whole-run array kernel replays
-            # the algorithm as fused numpy ops over the CSR arrays. Kernels
-            # are bit-for-bit replicas of the per-node semantics (the
-            # compact-parity suite is the gate) and decline anything they
-            # cannot reproduce exactly, falling through to the loop below.
-            # Crashing/bandwidth-tracked runs observe per-node, per-round
-            # state no closed-form replay models, so they never dispatch.
-            from repro import kernels
-
-            algo_name = getattr(algorithm, "name", None)
-            kernel = kernels.get_kernel(algo_name)
-            if kernel is not None:
-                try:
-                    with obs.span(f"kernel.{algo_name}", n=graph.n):
-                        result = kernel(graph, dict(extras or {}), max_rounds)
-                except kernels.KernelUnsupported as exc:
-                    # The decline reasons are stable short strings (see the
-                    # kernel modules), so they are usable as counter labels.
-                    obs.incr("kernel.fallback", kernel=algo_name, reason=str(exc))
-                else:
-                    obs.incr(
-                        "kernel.dispatch",
-                        kernel=algo_name,
-                        backend="numba" if kernels.numba_enabled() else "numpy",
-                    )
-                    obs.incr("engine.runs", engine=self.name)
-                    obs.incr("engine.rounds", result.rounds, engine=self.name)
-                    obs.incr("engine.messages", result.messages, engine=self.name)
-                    result.engine = self.name
-                    return result
-
-        if isinstance(graph, CompactGraph):
-            # ---- Native path: the CSR arrays already exist (and the type
-            # guarantees no self-loops); ids are the dense ints 0..n-1, so
-            # no interning dict is needed — addressee ids *are* indices.
-            n = graph.n
-            adj = graph.adjacency_lists()
-            ids = range(n)
-            index = None
-            nodes: List[Node] = [Node(i, adj[i]) for i in range(n)]
-            max_degree = graph.max_degree
-            unknown = {v for v in (crashes or {}) if not (isinstance(v, int) and 0 <= v < n)}
-        else:
+        compact = isinstance(graph, CompactGraph)
+        if not compact:
             if nx.number_of_selfloops(graph):
                 raise SimulationError("self-loops are not allowed in LOCAL networks")
 
@@ -172,6 +136,40 @@ class VectorEngine(Engine):
             for v in ids:
                 flat.extend(graph.neighbors(v))
                 indptr.append(len(flat))
+
+        if not crashes and not track_bandwidth:
+            # ---- Kernel path: a registered whole-run array kernel replays
+            # the algorithm as fused numpy ops over the CSR arrays — the
+            # CompactGraph's own, or the interned adjacency above with the
+            # node-keyed extras relabeled to dense ids. Kernels are
+            # bit-for-bit replicas of the per-node semantics (the
+            # compact-parity and nx-dispatch suites are the gate) and
+            # decline anything they cannot reproduce exactly, falling
+            # through to the loop below. Crashing/bandwidth-tracked runs
+            # observe per-node, per-round state no closed-form replay
+            # models, so they never dispatch.
+            result = self._run_kernel(
+                graph,
+                None if compact else (ids, index, flat, indptr),
+                algorithm,
+                extras,
+                max_rounds,
+            )
+            if result is not None:
+                return result
+
+        if compact:
+            # ---- Native path: the CSR arrays already exist (and the type
+            # guarantees no self-loops); ids are the dense ints 0..n-1, so
+            # no interning dict is needed — addressee ids *are* indices.
+            n = graph.n
+            adj = graph.adjacency_lists()
+            ids = range(n)
+            index = None
+            nodes: List[Node] = [Node(i, adj[i]) for i in range(n)]
+            max_degree = graph.max_degree
+            unknown = {v for v in (crashes or {}) if not (isinstance(v, int) and 0 <= v < n)}
+        else:
             nodes = [
                 Node(ids[i], tuple(flat[indptr[i] : indptr[i + 1]])) for i in range(n)
             ]
@@ -380,3 +378,71 @@ class VectorEngine(Engine):
             crashed=frozenset(crashed),
             engine=self.name,
         )
+
+    def _run_kernel(
+        self,
+        graph: Any,
+        interned: Optional[tuple],
+        algorithm: NodeAlgorithm,
+        extras: Optional[Dict[str, Any]],
+        max_rounds: int,
+    ) -> Optional[RunResult]:
+        """The registered kernel's result, or None when the algorithm has
+        no kernel or the kernel (or the relabeling) declines the input.
+
+        ``interned`` is None for a ``CompactGraph``; for a networkx graph
+        it is the per-node path's ``(ids, index, flat, indptr)``.
+        """
+        from repro import kernels
+
+        algo_name = getattr(algorithm, "name", None)
+        # Looked up through the module: instrumentation wraps get_kernel.
+        kernel = kernels.get_kernel(algo_name)
+        if kernel is None:
+            return None
+        extras = dict(extras or {})
+        try:
+            if interned is not None:
+                ids, index, flat, indptr = interned
+                graph = _interned_csr(graph, index, flat, indptr)
+                extras = kernels.dense_extras(algo_name, extras, index)
+            with obs.span(f"kernel.{algo_name}", n=graph.n):
+                result = kernel(graph, extras, max_rounds)
+        except kernels.KernelUnsupported as exc:
+            # The decline reasons are stable short strings (see the kernel
+            # modules), so they are usable as counter labels.
+            obs.incr("kernel.fallback", kernel=algo_name, reason=str(exc))
+            return None
+        if interned is not None:
+            dense = result.outputs
+            result.outputs = {v: dense[i] for i, v in enumerate(ids)}
+        obs.incr(
+            "kernel.dispatch",
+            kernel=algo_name,
+            backend="numba" if kernels.numba_enabled() else "numpy",
+        )
+        obs.incr("engine.runs", engine=self.name)
+        obs.incr("engine.rounds", result.rounds, engine=self.name)
+        obs.incr("engine.messages", result.messages, engine=self.name)
+        result.engine = self.name
+        return result
+
+
+def _interned_csr(
+    graph: nx.Graph, index: Dict[NodeId, int], flat: List[NodeId], indptr: List[int]
+) -> Any:
+    """The ``CompactGraph`` of a networkx graph whose nodes ``index``
+    interned to dense ids and whose adjacency ``flat``/``indptr`` list in
+    that order; rows are sorted so the CSR invariants hold. Directed and
+    multigraph inputs have no such form: :class:`KernelUnsupported`."""
+    from repro import kernels
+    from repro.graphcore import CompactGraph
+
+    if graph.is_directed() or graph.is_multigraph():
+        raise kernels.KernelUnsupported("directed or multigraph input")
+    n = len(indptr) - 1
+    bounds = np.asarray(indptr, dtype=np.int64)
+    indices = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(bounds))
+    indices = indices[np.lexsort((indices, rows))]
+    return CompactGraph(bounds, indices, validate=False)

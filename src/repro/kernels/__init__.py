@@ -26,8 +26,14 @@ Contract (the reason kernels may exist at all):
   the decline and its reason through the ``kernel.fallback`` counter.
 * **Engines opt in.** Only :class:`~repro.engine.vector.VectorEngine`
   consults this registry (and only for crash-free, untraced,
-  bandwidth-untracked runs). The reference engine never does — it *is*
-  the baseline kernels are measured against.
+  bandwidth-untracked runs), on ``CompactGraph`` and networkx inputs
+  alike. The reference engine never does — it *is* the baseline kernels
+  are measured against.
+* **Node-keyed extras are declared.** Kernels index per-node tables by
+  dense id, so each :func:`register_kernel` call names the extras keyed
+  by node (and those whose values are node ids too, like Cole–Vishkin's
+  ``parent``). :func:`dense_extras` relabels exactly those for a
+  networkx input the engine interned to dense ids.
 
 The round-synchronous kernels (``linial``, ``defective-refinement``,
 ``h-partition``) are :class:`~repro.kernels.program.ShardProgram`
@@ -49,15 +55,17 @@ graceful degradation, no hard dependency.
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.kernels.backend import numba_available, numba_enabled
 
 __all__ = [
     "KernelUnsupported",
+    "dense_extras",
     "get_kernel",
     "get_program",
     "kernel_names",
+    "node_extras",
     "program_names",
     "register_kernel",
     "numba_available",
@@ -83,11 +91,28 @@ _KERNEL_MODULES: Dict[str, str] = {
 #: algorithm name -> kernel(graph, extras, max_rounds) -> RunResult.
 _KERNELS: Dict[str, Callable[..., Any]] = {}
 
+#: algorithm name -> (node-keyed extras, the subset whose values are
+#: node ids as well).
+_NODE_EXTRAS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
 
-def register_kernel(name: str, kernel: Callable[..., Any]) -> Callable[..., Any]:
+_MISSING = object()
+
+
+def register_kernel(
+    name: str,
+    kernel: Callable[..., Any],
+    *,
+    node_keyed: Sequence[str],
+    node_valued: Sequence[str] = (),
+) -> Callable[..., Any]:
     """Register ``kernel`` as the whole-run executor for algorithm
-    ``name`` (the :class:`NodeAlgorithm` name, not the registry name)."""
+    ``name`` (the :class:`NodeAlgorithm` name, not the registry name).
+
+    ``node_keyed`` names the extras that map node -> value;
+    ``node_valued`` those of them whose values are node ids too.
+    """
     _KERNELS[name] = kernel
+    _NODE_EXTRAS[name] = (tuple(node_keyed), tuple(node_valued))
     return kernel
 
 
@@ -119,6 +144,49 @@ def get_program(name: Optional[str]) -> Optional[Any]:
 
     kernel = _resolve(name)
     return kernel if isinstance(kernel, ShardProgram) else None
+
+
+def node_extras(name: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(node_keyed, node_valued)`` as declared when the kernel for
+    algorithm ``name`` was registered."""
+    _resolve(name)
+    return _NODE_EXTRAS[name]
+
+
+def dense_extras(
+    name: str, extras: Mapping[str, Any], index: Dict[Any, int]
+) -> Dict[str, Any]:
+    """``extras`` with kernel ``name``'s node-keyed tables relabeled to
+    the dense ids ``index`` assigns the graph's nodes.
+
+    Each table is restricted to the graph's nodes, because the per-node
+    path only ever reads a node's own entry (``table.get(node)``). A node
+    the table misses stays missing, for the kernel's own coverage check
+    to decline (or, for a node-valued map like ``parent``, to read as
+    ``None``, as ``.get`` does). Anything but a dict is passed through for
+    the kernel to decline. A node-valued entry that names no graph node
+    has no dense id: :class:`KernelUnsupported`.
+    """
+    keyed, valued = node_extras(name)
+    dense = dict(extras)
+    for key in keyed:
+        table = dense.get(key)
+        if not isinstance(table, dict):
+            continue
+        relabeled: Dict[int, Any] = {}
+        lookup = table.get
+        for v, i in index.items():
+            value = lookup(v, _MISSING)
+            if value is _MISSING:
+                continue
+            if key in valued and value is not None:
+                try:
+                    value = index[value]
+                except (KeyError, TypeError):
+                    raise KernelUnsupported(f"{key} outside the graph")
+            relabeled[i] = value
+        dense[key] = relabeled
+    return dense
 
 
 def kernel_names() -> list:

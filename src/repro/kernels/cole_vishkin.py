@@ -109,4 +109,9 @@ def cole_vishkin_kernel(
     )
 
 
-register_kernel("cole-vishkin", cole_vishkin_kernel)
+register_kernel(
+    "cole-vishkin",
+    cole_vishkin_kernel,
+    node_keyed=("initial_coloring", "parent"),
+    node_valued=("parent",),
+)

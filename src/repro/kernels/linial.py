@@ -262,5 +262,7 @@ class DefectiveProgram(ShardProgram):
         return state["out"].copy()
 
 
-register_kernel("linial", LinialProgram())
-register_kernel("defective-refinement", DefectiveProgram())
+register_kernel("linial", LinialProgram(), node_keyed=("initial_coloring",))
+register_kernel(
+    "defective-refinement", DefectiveProgram(), node_keyed=("initial_coloring",)
+)

@@ -127,4 +127,4 @@ class PeelerProgram(ShardProgram):
         return state["level"].copy()
 
 
-register_kernel("h-partition", PeelerProgram())
+register_kernel("h-partition", PeelerProgram(), node_keyed=())

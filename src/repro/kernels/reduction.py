@@ -200,5 +200,7 @@ def kw_phase_kernel(graph: Any, extras: Dict[str, Any], max_rounds: int) -> RunR
     )
 
 
-register_kernel("basic-reduction", basic_reduction_kernel)
-register_kernel("kw-phase", kw_phase_kernel)
+register_kernel(
+    "basic-reduction", basic_reduction_kernel, node_keyed=("coloring",)
+)
+register_kernel("kw-phase", kw_phase_kernel, node_keyed=("coloring",))

@@ -240,6 +240,44 @@ python "$SMOKE_DIR/kernel_probe.py" reference "$SMOKE_DIR/kernel_ref.json"
 cmp "$SMOKE_DIR/kernel_numpy.json" "$SMOKE_DIR/kernel_flag.json"
 cmp "$SMOKE_DIR/kernel_numpy.json" "$SMOKE_DIR/kernel_ref.json"
 echo "kernel smoke: kernel run byte-identical to reference, with and without REPRO_NUMBA"
+# The same comparison on the kind of input the paper's pipelines hand the
+# engine: a tuple-labelled networkx line graph. The vector engine must
+# dispatch the kernel through the CSR it interns (a counted
+# kernel.dispatch), and the dump must be byte-identical to the reference
+# engine's per-node run.
+cat > "$SMOKE_DIR/nx_kernel_probe.py" <<'EOF'
+import json, sys
+from repro import obs, workloads
+from repro.engine import get_engine
+from repro.graphs import line_graph_with_cover
+from repro.substrates.linial import LinialAlgorithm
+
+engine, out = sys.argv[1], sys.argv[2]
+base = workloads.build("random-regular", {"n": 24, "d": 4}, seed=0)
+graph, _cover = line_graph_with_cover(base)
+ordered = sorted(graph.nodes(), key=repr)
+extras = {"initial_coloring": {v: 25 * i for i, v in enumerate(ordered)},
+          "m0": 25 * len(ordered)}
+with obs.collect() as rt:
+    result = get_engine(engine).run(graph, LinialAlgorithm(), extras=extras)
+assert result.engine == engine, f"unexpected fallback: ran {result.engine}"
+assert result.rounds > 0, "probe settled at round 0; it would compare nothing"
+dispatched = sum(v for k, v in rt.counters.items() if k.startswith("kernel.dispatch["))
+if engine == "vector":
+    assert dispatched > 0, f"no kernel dispatch on the networkx input: {rt.counters}"
+payload = {
+    "outputs": [[list(k), v] for k, v in sorted(result.outputs.items())],
+    "rounds": result.rounds,
+    "messages": result.messages,
+    "round_messages": list(result.round_messages),
+}
+with open(out, "w") as handle:
+    json.dump(payload, handle, sort_keys=True)
+EOF
+python "$SMOKE_DIR/nx_kernel_probe.py" vector "$SMOKE_DIR/nx_kernel_vec.json"
+python "$SMOKE_DIR/nx_kernel_probe.py" reference "$SMOKE_DIR/nx_kernel_ref.json"
+cmp "$SMOKE_DIR/nx_kernel_vec.json" "$SMOKE_DIR/nx_kernel_ref.json"
+echo "kernel smoke: networkx line-graph input dispatched, byte-identical to reference"
 
 echo "== obs smoke: traced campaign -> schema-valid JSONL, stats reports, traced == untraced =="
 # A small multi-worker campaign with --trace: every worker appends
